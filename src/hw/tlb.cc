@@ -63,12 +63,19 @@ Tlb::Level::linkFront(std::uint16_t i)
     head_ = i;
 }
 
-void
-Tlb::Level::tableErase(std::uint16_t slot)
+std::uint32_t
+Tlb::Level::cellOf(std::uint16_t slot) const
 {
     std::uint32_t i = hashOf(slots_[slot].entry.key) & mask_;
     while (table_[i] != slot)
         i = (i + 1) & mask_;
+    return i;
+}
+
+void
+Tlb::Level::tableErase(std::uint16_t slot)
+{
+    std::uint32_t i = cellOf(slot);
     // Backward-shift deletion keeps probe chains contiguous without
     // tombstones: walk forward from the freed cell and pull back any
     // entry whose home position lies cyclically outside (i, j].
@@ -164,11 +171,21 @@ Tlb::Level::remove(const Key &k, Entry *removed_out)
 void
 Tlb::Level::clear()
 {
-    std::fill(table_.begin(), table_.end(), kNil);
-    for (unsigned i = 0; i < capacity_; ++i)
-        slots_[i].next = static_cast<std::uint16_t>(
-            i + 1 < capacity_ ? i + 1 : kNil);
-    freeHead_ = 0;
+    if (size_ == 0)
+        return;
+    // A fill writes 32 cells per cache line, while clearing one entry
+    // by probe touches two lines (its slot and its cell): from one
+    // entry per 64 cells on, one pass over the table is cheaper.
+    if (size_ * 64 >= table_.size()) {
+        std::fill(table_.begin(), table_.end(), kNil);
+    } else {
+        for (std::uint16_t i = head_; i != kNil; i = slots_[i].next)
+            table_[cellOf(i)] = kNil;
+    }
+    // Nothing outside the level sees a slot index, so the LRU chain
+    // joins the free list as it stands.
+    slots_[tail_].next = freeHead_;
+    freeHead_ = head_;
     head_ = tail_ = kNil;
     size_ = 0;
 }

@@ -310,6 +310,11 @@ class Tlb
             }
         }
 
+        /**
+         * Drop every entry in O(occupancy): reset the live entries'
+         * table cells (the whole table once that is cheaper) and
+         * splice the LRU chain onto the free list.
+         */
         void clear();
 
       private:
@@ -334,6 +339,9 @@ class Tlb
 
         /** Probe the index table. @return slot index or kNil. */
         std::uint16_t findSlot(const Key &k) const;
+
+        /** Table cell that points at live slot @p i. */
+        std::uint32_t cellOf(std::uint16_t i) const;
 
         /** Unlink slot @p i from the LRU chain. */
         void unlink(std::uint16_t i);

@@ -118,15 +118,28 @@ Kernel::switchToTask(Task *task)
     return sched_.switchToTask(task);
 }
 
+Counter &
+Kernel::counterOnce(Counter *&cache, const char *name)
+{
+    if (!cache)
+        cache = &stats_.counter(name);
+    return *cache;
+}
+
+Distribution &
+Kernel::distributionOnce(Distribution *&cache, const char *name)
+{
+    if (!cache)
+        cache = &stats_.distribution(name);
+    return *cache;
+}
+
 void
 Kernel::noteRequestComplete(CoreId core, MmId mm, Duration latency)
 {
-    if (!serveRequestsCtr_) {
-        serveRequestsCtr_ = &stats_.counter("serve.requests");
-        serveLatencyDist_ = &stats_.distribution("serve.request_ns");
-    }
-    serveRequestsCtr_->inc();
-    serveLatencyDist_->sample(static_cast<double>(latency));
+    counterOnce(serveRequestsCtr_, "serve.requests").inc();
+    distributionOnce(serveLatencyDist_, "serve.request_ns")
+        .sample(static_cast<double>(latency));
     if (trace_)
         trace_->instant("serve", "request.done", queue_.now(), core,
                         mm, latency);
@@ -145,11 +158,15 @@ Kernel::traceSyscall(const char *name, Tick begin,
 }
 
 void
-Kernel::noteInvalidation(AddressSpace &mm, Vpn s, Vpn e, Tick deadline,
-                         const char *op)
+Kernel::noteInvalidation(AddressSpace &mm, Vpn s, Vpn e, Tick done,
+                         const char *op, bool lazy)
 {
     if (!staleness_)
         return;
+    // Looked up only for the oracle: PredictivePolicy derives its
+    // contract from the topology on every call.
+    const Tick deadline =
+        lazy ? done + policy_->stalenessContract().epochBound : done;
     staleness_->notePageTableInvalidation(mm.pcid(), mm.id(), s, e,
                                           mm.residencyMask(), deadline,
                                           op);
@@ -182,7 +199,7 @@ Kernel::mmap(Task *task, std::uint64_t len, std::uint8_t prot,
     res.addr = mm.mmapRegion(len, prot, file_backed);
     res.ok = res.addr != kAddrInvalid;
     res.latency = (at + hold) - now;
-    stats_.counter("sys.mmap").inc();
+    counterOnce(mmapCtr_, "sys.mmap").inc();
     return res;
 }
 
@@ -200,7 +217,7 @@ Kernel::mmapHuge(Task *task, std::uint64_t len, std::uint8_t prot)
     res.addr = mm.mmapHugeRegion(len, prot);
     res.ok = res.addr != kAddrInvalid;
     res.latency = (at + hold) - now;
-    stats_.counter("sys.mmap_huge").inc();
+    counterOnce(mmapHugeCtr_, "sys.mmap_huge").inc();
     return res;
 }
 
@@ -261,18 +278,15 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
     // Linux performs the shootdown under mmap_sem; LATR's 132 ns
     // state save extends the hold negligibly.
     mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e,
-                     shoot_at + pol +
-                         policy_->stalenessContract().epochBound,
-                     "munmap");
+    noteInvalidation(mm, s, e, shoot_at + pol, "munmap", true);
 
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.munmap").inc();
-    stats_.distribution("munmap.latency_ns")
+    counterOnce(munmapCtr_, "sys.munmap").inc();
+    distributionOnce(munmapLatencyDist_, "munmap.latency_ns")
         .sample(static_cast<double>(res.latency));
-    stats_.distribution("munmap.shootdown_ns")
+    distributionOnce(munmapShootdownDist_, "munmap.shootdown_ns")
         .sample(static_cast<double>(pol));
     traceSyscall("sys.munmap", now, res, core, mm.id(), npages);
     return res;
@@ -281,7 +295,8 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
 SyscallResult
 Kernel::madvise(Task *task, Addr addr, std::uint64_t len)
 {
-    return madviseCommon(task, addr, len, "sys.madvise", "madvise");
+    return madviseCommon(task, addr, len, madviseCtr_, "sys.madvise",
+                         "madvise");
 }
 
 SyscallResult
@@ -294,13 +309,14 @@ Kernel::madviseFree(Task *task, Addr addr, std::uint64_t len)
     // through the policy — lazily under LATR. Distinct counter and
     // trace name so free-then-reuse traffic is visible next to
     // plain madvise in dumps.
-    return madviseCommon(task, addr, len, "sys.madvise_free",
-                         "madvise_free");
+    return madviseCommon(task, addr, len, madviseFreeCtr_,
+                         "sys.madvise_free", "madvise_free");
 }
 
 SyscallResult
 Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
-                      const char *counter, const char *op)
+                      Counter *&counter_cache, const char *counter,
+                      const char *op)
 {
     SyscallResult res;
     AddressSpace &mm = task->mm();
@@ -348,15 +364,12 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
     const Duration pol = policy_->onFreePages(std::move(ctx), shoot_at);
     for (Vpn vpn : unmapped)
         mm.clearSharers(vpn);
-    noteInvalidation(mm, s, e,
-                     shoot_at + pol +
-                         policy_->stalenessContract().epochBound,
-                     op);
+    noteInvalidation(mm, s, e, shoot_at + pol, op, true);
 
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter(counter).inc();
+    counterOnce(counter_cache, counter).inc();
     traceSyscall(counter, now, res, core, mm.id(), npages);
     return res;
 }
@@ -393,12 +406,12 @@ Kernel::mprotect(Task *task, Addr addr, std::uint64_t len,
     const Duration pol =
         policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
     mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "mprotect");
+    noteInvalidation(mm, s, e, shoot_at + pol, "mprotect", false);
 
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.mprotect").inc();
+    counterOnce(mprotectCtr_, "sys.mprotect").inc();
     traceSyscall("sys.mprotect", now, res, core, mm.id(), npages);
     return res;
 }
@@ -437,13 +450,13 @@ Kernel::mremap(Task *task, Addr old_addr, std::uint64_t old_len,
     const Duration pol =
         policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
     mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "mremap");
+    noteInvalidation(mm, s, e, shoot_at + pol, "mremap", false);
 
     res.ok = true;
     res.addr = new_addr;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.mremap").inc();
+    counterOnce(mremapCtr_, "sys.mremap").inc();
     traceSyscall("sys.mremap", now, res, core, mm.id(), npages);
     return res;
 }
@@ -478,12 +491,12 @@ Kernel::markCow(Task *task, Addr addr, std::uint64_t len)
     const Duration pol =
         policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
     mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "markcow");
+    noteInvalidation(mm, s, e, shoot_at + pol, "markcow", false);
 
     res.ok = true;
     res.shootdown = pol;
     res.latency = (shoot_at + pol) - now;
-    stats_.counter("sys.markcow").inc();
+    counterOnce(markCowCtr_, "sys.markcow").inc();
     traceSyscall("sys.markcow", now, res, core, mm.id(), npages);
     return res;
 }
@@ -594,10 +607,7 @@ Kernel::numaSample(Task *task, Vpn vpn)
     const Duration pol =
         policy_->onNumaSample(&mm, task->core(), vpn, now);
     if (mapped)
-        noteInvalidation(mm, vpn, vpn,
-                         now + pol +
-                             policy_->stalenessContract().epochBound,
-                         "numa_sample");
+        noteInvalidation(mm, vpn, vpn, now + pol, "numa_sample", true);
     return pol;
 }
 

@@ -201,10 +201,23 @@ class Kernel
     /** CoW write-fault resolution (used via TouchHooks). */
     Duration breakCow(Task *task, Vpn vpn);
 
-    /** Shared body of madvise() / madviseFree(). */
+    /**
+     * Shared body of madvise() / madviseFree(), counted in the stat
+     * @p counter (cached in @p counter_cache).
+     */
     SyscallResult madviseCommon(Task *task, Addr addr,
                                 std::uint64_t len,
+                                Counter *&counter_cache,
                                 const char *counter, const char *op);
+
+    /**
+     * The stat named @p name, looked up on first use and then kept in
+     * @p cache: per call it costs a pointer test, and a dump still
+     * lists only the stats of calls that ran.
+     */
+    Counter &counterOnce(Counter *&cache, const char *name);
+    Distribution &distributionOnce(Distribution *&cache,
+                                   const char *name);
 
     /** Emit a [now, now+latency] span for a completed syscall. */
     void traceSyscall(const char *name, Tick begin,
@@ -214,11 +227,14 @@ class Kernel
     /**
      * Report an invalidated page-table range to the staleness
      * oracle, if attached: every TLB copy of [s, e] must be gone by
-     * @p deadline. Called after the policy call, so translations the
-     * policy already killed synchronously are exempt.
+     * @p done, plus the policy's contract epoch bound when @p lazy
+     * (free ops and NUMA samples, which a lazy policy may finish after
+     * the call returns). Called after the policy call, so
+     * translations the policy already killed synchronously are
+     * exempt.
      */
-    void noteInvalidation(AddressSpace &mm, Vpn s, Vpn e,
-                          Tick deadline, const char *op);
+    void noteInvalidation(AddressSpace &mm, Vpn s, Vpn e, Tick done,
+                          const char *op, bool lazy);
 
     EventQueue &queue_;
     const NumaTopology &topo_;
@@ -244,11 +260,22 @@ class Kernel
     Task *touchTask_ = nullptr;
 
     /**
-     * Serving-subsystem stats, resolved on first request completion
-     * so machines that never serve keep serve.* out of their dumps.
+     * Syscall and serving stats, resolved on first use
+     * (counterOnce()), so machines that never make a call keep its
+     * stats out of their dumps.
      */
     Counter *serveRequestsCtr_ = nullptr;
     Distribution *serveLatencyDist_ = nullptr;
+    Counter *mmapCtr_ = nullptr;
+    Counter *mmapHugeCtr_ = nullptr;
+    Counter *munmapCtr_ = nullptr;
+    Distribution *munmapLatencyDist_ = nullptr;
+    Distribution *munmapShootdownDist_ = nullptr;
+    Counter *madviseCtr_ = nullptr;
+    Counter *madviseFreeCtr_ = nullptr;
+    Counter *mprotectCtr_ = nullptr;
+    Counter *mremapCtr_ = nullptr;
+    Counter *markCowCtr_ = nullptr;
 
     /** Fault-path counters resolved once (touch() is per-access). */
     Counter &minorFaultsCtr_;

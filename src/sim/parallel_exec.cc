@@ -187,8 +187,18 @@ ParallelExecutor::computeBatch(Event *const *events, std::size_t n,
         // their sleep fallback; spinning workers pick the batch up
         // straight from the ticket store.
         std::lock_guard<std::mutex> lock(mu_);
-        events_.store(events, std::memory_order_relaxed);
-        count_.store(n, std::memory_order_relaxed);
+        // Saturate the finished batch's cursor first. A worker still
+        // holding its tag can see the new descriptor before the new
+        // ticket; without this, a longer new batch would let that
+        // worker claim an index under the old tag, compute a new
+        // event twice and push completed_ past n, which then never
+        // equals n and strands this thread in done_.wait(). The
+        // release stores order the saturation before any new
+        // descriptor value a worker can load.
+        ticket_.store((generation_ << kCursorBits) | kCursorMask,
+                      std::memory_order_relaxed);
+        events_.store(events, std::memory_order_release);
+        count_.store(n, std::memory_order_release);
         completed_.store(0, std::memory_order_relaxed);
         gen = ++generation_;
         // Re-tagging the ticket retires every outstanding claim

@@ -326,10 +326,12 @@ class ParallelExecutor
     std::condition_variable done_;
     /**
      * Batch descriptor. Published before the ticket's release store
-     * and read after its acquire load; they are atomic (relaxed)
-     * only because a worker whose generation tag is already stale
-     * may load them concurrently with the next batch's publish — it
-     * then claims nothing, but the load itself must not race.
+     * and read after its acquire load; they are atomic only because a
+     * worker whose generation tag is already stale may load them
+     * concurrently with the next batch's publish. It then claims
+     * nothing: computeBatch() saturates the old cursor before storing
+     * them (release), so a new descriptor is never paired with an
+     * open old ticket.
      */
     std::atomic<Event *const *> events_{nullptr};
     std::atomic<std::size_t> count_{0};

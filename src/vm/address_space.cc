@@ -8,7 +8,7 @@ namespace latr
 {
 
 AddressSpace::AddressSpace(MmId id, Pcid pcid, FrameAllocator &frames)
-    : id_(id), pcid_(pcid), frames_(frames)
+    : id_(id), pcid_(pcid), frames_(frames), cover_{CoverStep{0, 0}}
 {
 }
 
@@ -28,44 +28,58 @@ Addr
 AddressSpace::findFreeRange(std::uint64_t len,
                             std::uint64_t alignment) const
 {
-    // First-fit over the union of live VMAs and held-back ranges.
-    // Returns the greatest conflicting end overlapping [lo, lo+len),
-    // or 0 when the window is free.
-    auto conflict_end = [&](Addr lo, Addr hi) -> Addr {
-        Addr worst = 0;
-        // VMAs: the only candidates are the one starting before hi
-        // closest to it and any starting within [lo, hi).
-        auto it = vmas_.upper_bound(hi - 1);
-        while (it != vmas_.begin()) {
-            --it;
-            if (it->second.end <= lo)
-                break;
-            if (it->second.overlaps(lo, hi))
-                worst = std::max(worst, it->second.end);
-        }
-        auto hit = holdback_.upper_bound(hi - 1);
-        while (hit != holdback_.begin()) {
-            --hit;
-            if (hit->second <= lo)
-                break;
-            if (hit->first < hi && hit->second > lo)
-                worst = std::max(worst, hit->second);
-        }
-        return worst;
-    };
-
+    // An empty or wrapped-around length has no placement.
+    if (len == 0 || len > kUserVaLimit)
+        return kAddrInvalid;
     auto align_up = [&](Addr a) {
         return (a + alignment - 1) & ~(alignment - 1);
     };
-    Addr candidate = align_up(kMmapBase);
-    for (;;) {
+    const Addr floor = align_up(kMmapBase);
+    for (std::size_t i = coverStepOf(floor); i < cover_.size(); ++i) {
+        if (cover_[i].count != 0)
+            continue;
+        const Addr candidate = align_up(std::max(cover_[i].start, floor));
         if (candidate + len > kUserVaLimit)
             return kAddrInvalid;
-        Addr bump = conflict_end(candidate, candidate + len);
-        if (bump == 0)
+        if (i + 1 == cover_.size() ||
+            candidate + len <= cover_[i + 1].start)
             return candidate;
-        candidate = align_up(bump);
     }
+    return kAddrInvalid;
+}
+
+std::size_t
+AddressSpace::coverStepOf(Addr addr) const
+{
+    const auto after = std::upper_bound(
+        cover_.begin(), cover_.end(), addr,
+        [](Addr a, const CoverStep &s) { return a < s.start; });
+    return static_cast<std::size_t>(after - cover_.begin()) - 1;
+}
+
+void
+AddressSpace::cover(Addr start, Addr end, int delta)
+{
+    if (start >= end)
+        return;
+    auto split = [&](Addr a) {
+        const std::size_t i = coverStepOf(a);
+        if (cover_[i].start == a)
+            return i;
+        cover_.insert(cover_.begin() + i + 1, CoverStep{a, cover_[i].count});
+        return i + 1;
+    };
+    const std::size_t first = split(start);
+    const std::size_t last = split(end);
+    for (std::size_t i = first; i < last; ++i)
+        cover_[i].count += delta;
+    // The steps inside the range moved together, so only its two ends
+    // can now equal their left neighbour. Erasing the later one first
+    // keeps the earlier index valid.
+    if (cover_[last - 1].count == cover_[last].count)
+        cover_.erase(cover_.begin() + last);
+    if (first > 0 && cover_[first - 1].count == cover_[first].count)
+        cover_.erase(cover_.begin() + first);
 }
 
 Addr
@@ -84,6 +98,7 @@ AddressSpace::mmapRegion(std::uint64_t len, std::uint8_t prot,
     vma.prot = prot;
     vma.fileBacked = file_backed;
     vmas_[base] = vma;
+    cover(vma.start, vma.end, +1);
     return base;
 }
 
@@ -102,6 +117,7 @@ AddressSpace::mmapHugeRegion(std::uint64_t len, std::uint8_t prot)
     vma.prot = prot;
     vma.huge = true;
     vmas_[base] = vma;
+    cover(vma.start, vma.end, +1);
     return base;
 }
 
@@ -150,6 +166,7 @@ AddressSpace::munmapRegion(Addr addr, std::uint64_t len)
             if (old.present())
                 result.hugePages.emplace_back(base, old.pfn);
         }
+        cover(vma.start, vma.end, -1);
         it = vmas_.erase(it);
     }
     // Unmap outside the forEach to keep its "no map/unmap" contract.
@@ -288,14 +305,17 @@ AddressSpace::mremapRegion(Addr old_addr, std::uint64_t old_len,
     splitAt(lo);
     splitAt(hi);
     for (auto it = vmas_.lower_bound(lo);
-         it != vmas_.end() && it->second.start < hi;)
+         it != vmas_.end() && it->second.start < hi;) {
+        cover(it->second.start, it->second.end, -1);
         it = vmas_.erase(it);
+    }
     Vma nv;
     nv.start = new_base;
     nv.end = new_base + new_len;
     nv.prot = prot;
     nv.fileBacked = file_backed;
     vmas_[new_base] = nv;
+    cover(nv.start, nv.end, +1);
 
     if (moved_out)
         *moved_out = std::move(moved);
@@ -327,7 +347,9 @@ AddressSpace::holdbackRange(Addr start, Addr end)
 {
     if (start >= end)
         panic("holdback of empty range");
-    holdback_[start] = std::max(holdback_[start], end);
+    auto it = holdback_.find(start);
+    setHoldback(start,
+                it == holdback_.end() ? end : std::max(it->second, end));
 }
 
 void
@@ -336,10 +358,29 @@ AddressSpace::releaseHoldback(Addr start, Addr end)
     auto it = holdback_.find(start);
     if (it == holdback_.end())
         return;
-    if (it->second <= end)
-        holdback_.erase(it);
-    else
-        holdback_[end] = it->second, holdback_.erase(start);
+    // A partial release keeps the range's tail held back.
+    if (it->second > end)
+        setHoldback(end, it->second);
+    eraseHoldback(start);
+}
+
+void
+AddressSpace::setHoldback(Addr start, Addr end)
+{
+    auto [it, fresh] = holdback_.try_emplace(start, end);
+    if (!fresh) {
+        cover(start, it->second, -1);
+        it->second = end;
+    }
+    cover(start, end, +1);
+}
+
+void
+AddressSpace::eraseHoldback(Addr start)
+{
+    auto it = holdback_.find(start);
+    cover(start, it->second, -1);
+    holdback_.erase(it);
 }
 
 bool

@@ -211,9 +211,24 @@ class AddressSpace
     /** Lowest address mmapRegion() will consider. */
     static constexpr Addr kMmapBase = 0x7000'0000'0000ULL >> 1;
 
-    /** First-fit search for a free, non-held-back gap of @p len. */
+    /**
+     * First-fit search for a free, non-held-back gap of @p len: walks
+     * the free gaps of cover_ upward from kMmapBase.
+     */
     Addr findFreeRange(std::uint64_t len,
                        std::uint64_t alignment = kPageSize) const;
+
+    /** Add @p delta to the coverage count of [start, end). */
+    void cover(Addr start, Addr end, int delta);
+
+    /** Index of the cover_ step holding @p addr. */
+    std::size_t coverStepOf(Addr addr) const;
+
+    /** holdback_[start] = end, with cover_ kept in step. */
+    void setHoldback(Addr start, Addr end);
+
+    /** Erase the held-back range keyed @p start, likewise. */
+    void eraseHoldback(Addr start);
 
     /** Split VMAs so that @p addr is a VMA boundary (if mapped). */
     void splitAt(Addr addr);
@@ -228,6 +243,24 @@ class AddressSpace
 
     std::map<Addr, Vma> vmas_;           // keyed by start
     std::map<Addr, Addr> holdback_;      // start -> end
+    /** One step of cover_: the count holds up to the next start. */
+    struct CoverStep
+    {
+        Addr start;
+        std::uint32_t count;
+    };
+
+    /**
+     * The free-gap index: how many VMAs and held-back ranges cover
+     * each address, as a step function over the whole address space,
+     * sorted by start and beginning at 0. Neighbouring steps never
+     * hold equal counts, so each zero step is one maximal free gap,
+     * and a run of adjacent occupied ranges is one step. Counts, not
+     * a bit, because held-back ranges may overlap one another. A
+     * vector, not a map: it stays short (tens of steps), and updates
+     * then shift a few bytes instead of allocating nodes.
+     */
+    std::vector<CoverStep> cover_;
     // Flat slot arrays (vm/flat_page_map.hh): ABIS consults
     // sharers_ once per page on every munmap, so the probe chains
     // must be cache-friendly, not node-per-entry.

@@ -3,12 +3,95 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/rng.hh"
 #include "vm/address_space.hh"
 
 namespace latr
 {
 namespace
 {
+
+using Ranges = std::map<Addr, Addr>; // start -> end
+using RangeList = std::vector<std::pair<Addr, Addr>>;
+
+/** @p ranges in order, touching neighbours joined. */
+RangeList
+joined(const Ranges &ranges)
+{
+    RangeList out;
+    for (const auto &[s, e] : ranges) {
+        if (!out.empty() && out.back().second == s)
+            out.back().second = e;
+        else
+            out.emplace_back(s, e);
+    }
+    return out;
+}
+
+/** Remove [lo, hi) from the disjoint @p ranges. */
+void
+subtract(Ranges &ranges, Addr lo, Addr hi)
+{
+    Ranges out;
+    for (const auto &[s, e] : ranges) {
+        if (e <= lo || s >= hi) {
+            out[s] = e;
+            continue;
+        }
+        if (s < lo)
+            out[s] = lo;
+        if (e > hi)
+            out[hi] = e;
+    }
+    ranges.swap(out);
+}
+
+/** True if one range strictly encloses a later-starting one. */
+bool
+nested(const Ranges &ranges)
+{
+    Addr reach = 0;
+    for (const auto &[s, e] : ranges) {
+        if (e < reach)
+            return true;
+        reach = std::max(reach, e);
+    }
+    return false;
+}
+
+/**
+ * Brute-force first-fit: the lowest @p align-aligned address at or
+ * above @p floor whose [addr, addr + len) meets none of @p taken and
+ * ends within the user VA limit. That address is the aligned floor
+ * or the aligned end of some taken range.
+ */
+Addr
+referenceFirstFit(const RangeList &taken, Addr floor, std::uint64_t len,
+                  std::uint64_t align)
+{
+    auto align_up = [&](Addr a) { return (a + align - 1) & ~(align - 1); };
+    std::vector<Addr> candidates{align_up(floor)};
+    for (const auto &r : taken)
+        if (r.second > floor)
+            candidates.push_back(align_up(r.second));
+    Addr best = kAddrInvalid;
+    for (Addr c : candidates) {
+        if (c >= best || c + len > kUserVaLimit)
+            continue;
+        if (std::none_of(taken.begin(), taken.end(), [&](const auto &r) {
+                return r.first < c + len && c < r.second;
+            }))
+            best = c;
+    }
+    return best;
+}
 
 struct AddressSpaceFixture : public ::testing::Test
 {
@@ -241,6 +324,149 @@ TEST_F(AddressSpaceFixture, MunmapKeepsSharersForThePolicy)
     EXPECT_TRUE(mm.sharersOf(pageOf(a)).test(2));
     mm.clearSharers(pageOf(a));
     EXPECT_TRUE(mm.sharersOf(pageOf(a)).empty());
+}
+
+TEST_F(AddressSpaceFixture, NestedHoldbackBlocksItsWholeRange)
+{
+    const Addr a = mm.mmapRegion(kPageSize, kProtRead);
+    mm.munmapRegion(a, kPageSize);
+    // [a+1, a+10) pages encloses [a+2, a+3), and [a, a+4) ends inside
+    // it: the first page free of all three is a + 10.
+    mm.holdbackRange(a, a + 4 * kPageSize);
+    mm.holdbackRange(a + kPageSize, a + 10 * kPageSize);
+    mm.holdbackRange(a + 2 * kPageSize, a + 3 * kPageSize);
+    EXPECT_EQ(mm.mmapRegion(kPageSize, kProtRead), a + 10 * kPageSize);
+}
+
+TEST(AddressSpaceFirstFit, MatchesBruteForceOverMirroredRanges)
+{
+    FrameAllocator frames(2, 1024);
+    const Addr floor =
+        AddressSpace(0, 0, frames).mmapRegion(kPageSize, kProtRead);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        AddressSpace mm(1, 0, frames);
+        Rng rng(seed);
+        Ranges mapped; // VMA coverage
+        Ranges held;   // holdbackRange/releaseHoldback bookkeeping
+        auto taken = [&] {
+            RangeList all(mapped.begin(), mapped.end());
+            all.insert(all.end(), held.begin(), held.end());
+            return all;
+        };
+        // Page ranges around the mmap floor, some below or across it.
+        auto random_range = [&](std::uint64_t max_pages) {
+            const Addr s =
+                floor - 16 * kPageSize + rng.nextBounded(1200) * kPageSize;
+            return std::make_pair(
+                s, s + rng.nextRange(1, max_pages) * kPageSize);
+        };
+        auto random_vma = [&]() -> const Vma * {
+            if (mm.vmas().empty())
+                return nullptr;
+            auto it = mm.vmas().begin();
+            std::advance(it, rng.nextBounded(mm.vmas().size()));
+            return &it->second;
+        };
+        // Held-back ranges overlap freely but never nest. Callers
+        // unmap only what mmap handed out, which is never held back,
+        // so policies never nest them; nesting has its own test
+        // (NestedHoldbackBlocksItsWholeRange).
+        auto hold = [&](Addr lo, Addr hi) {
+            Ranges after = held;
+            after[lo] = std::max(after[lo], hi);
+            if (nested(after))
+                return;
+            mm.holdbackRange(lo, hi);
+            held.swap(after);
+        };
+
+        for (int op = 0; op < 1500; ++op) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                         std::to_string(op));
+            switch (rng.nextBounded(6)) {
+              case 0: {
+                const std::uint64_t len = rng.nextRange(1, 24) * kPageSize;
+                const Addr want =
+                    referenceFirstFit(taken(), floor, len, kPageSize);
+                ASSERT_EQ(mm.mmapRegion(len, kProtRead), want);
+                mapped[want] = want + len;
+                break;
+              }
+              case 1: {
+                const std::uint64_t len =
+                    rng.nextRange(1, 2) * kHugePageSize;
+                const Addr want =
+                    referenceFirstFit(taken(), floor, len, kHugePageSize);
+                ASSERT_EQ(mm.mmapHugeRegion(len, kProtRead), want);
+                mapped[want] = want + len;
+                break;
+              }
+              case 2: {
+                // A whole VMA or any range; LATR holds half of them back.
+                auto [lo, hi] = random_range(32);
+                const Vma *vma = random_vma();
+                if (vma && rng.nextBool(0.6)) {
+                    lo = vma->start;
+                    hi = vma->end;
+                }
+                mm.munmapRegion(lo, hi - lo);
+                subtract(mapped, lo, hi);
+                if (rng.nextBool(0.5))
+                    hold(lo, hi);
+                break;
+              }
+              case 3: {
+                const Vma *vma = random_vma();
+                if (!vma)
+                    break;
+                const Addr lo =
+                    vma->start + rng.nextBounded(vma->pages()) * kPageSize;
+                const Addr hi =
+                    lo + rng.nextRange(1, (vma->end - lo) >> kPageShift) *
+                             kPageSize;
+                const std::uint64_t len = rng.nextRange(1, 24) * kPageSize;
+                const Addr want =
+                    referenceFirstFit(taken(), floor, len, kPageSize);
+                UnmapResult moved;
+                ASSERT_EQ(mm.mremapRegion(lo, hi - lo, len, &moved), want);
+                subtract(mapped, lo, hi);
+                mapped[want] = want + len;
+                break;
+              }
+              case 4: {
+                const auto [lo, hi] = random_range(24);
+                hold(lo, hi);
+                break;
+              }
+              case 5: {
+                // Release a held range whole, partly, or past its end.
+                if (held.empty())
+                    break;
+                auto it = held.begin();
+                std::advance(it, rng.nextBounded(held.size()));
+                const Addr start = it->first;
+                const Addr end = start + rng.nextRange(1, 32) * kPageSize;
+                Ranges after = held;
+                if (after[start] > end)
+                    after[end] = after[start];
+                after.erase(start);
+                if (nested(after))
+                    break;
+                mm.releaseHoldback(start, end);
+                held.swap(after);
+                break;
+              }
+            }
+            Ranges vmas;
+            for (const auto &[start, vma] : mm.vmas())
+                vmas[start] = vma.end;
+            ASSERT_EQ(joined(vmas), joined(mapped));
+            std::uint64_t held_bytes = 0;
+            for (const auto &[s, e] : held)
+                held_bytes += e - s;
+            ASSERT_EQ(mm.heldBackBytes(), held_bytes);
+        }
+    }
 }
 
 } // namespace

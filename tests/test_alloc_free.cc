@@ -1,6 +1,7 @@
 // Proves the PR's allocation-free claim: after warmup, the engine's
 // hottest paths — EventQueue::schedule/dispatch (including pooled
-// lambdas) and Tlb insert/lookup/invalidateRange/invalidatePcid —
+// lambdas) and Tlb insert/lookup/invalidateRange/invalidatePcid/
+// flushAll —
 // perform zero heap allocations. A replaced global operator new
 // counts every allocation in the process; each test snapshots the
 // counter around a steady-state loop and requires a delta of zero.
@@ -143,6 +144,8 @@ TEST(AllocFree, TlbInsertLookupInvalidateSteadyState)
         }
         if ((i & 0xfff) == 0)
             tlb.invalidatePcid(2);
+        if ((i & 0x3ff) == 0)
+            tlb.flushAll();
     }
     tlb.flushAll();
     EXPECT_EQ(allocsNow() - before, 0u)

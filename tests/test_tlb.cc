@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include "hw/tlb.hh"
 
@@ -41,6 +43,25 @@ class MirrorListener : public TlbListener
     int inserts = 0;
     int removes = 0;
     std::map<std::uint64_t, Pfn> live;
+};
+
+/** Records listener traffic in order. */
+class LogListener : public TlbListener
+{
+  public:
+    void
+    onTlbInsert(CoreId, Vpn vpn, Pfn pfn, Pcid pcid) override
+    {
+        log.emplace_back('+', vpn, pfn, pcid);
+    }
+
+    void
+    onTlbRemove(CoreId, Vpn vpn, Pfn pfn, Pcid pcid) override
+    {
+        log.emplace_back('-', vpn, pfn, pcid);
+    }
+
+    std::vector<std::tuple<char, Vpn, Pfn, Pcid>> log;
 };
 
 TEST(Tlb, MissThenInsertThenHit)
@@ -361,6 +382,66 @@ TEST(TlbGolden, HugeArrayIndependentOfBaseLevels)
     EXPECT_TRUE(tlb.probeHuge(512, 0));
     EXPECT_TRUE(tlb.probeHuge(1024, 0));
     EXPECT_EQ(tlb.hugeSize(), 2u);
+}
+
+/**
+ * Drive @p tlb past every level's capacity: base pages under two
+ * PCIDs, huge entries, lookups that promote out of L2, INVLPGs and
+ * range invalidations that reshuffle probe chains, and one more full
+ * flush midway. @return every lookup's result, in order.
+ */
+std::vector<TlbResult>
+refill(Tlb &tlb)
+{
+    std::vector<TlbResult> results;
+    for (Vpn v = 0; v < 1500; ++v) {
+        tlb.insert(v, 0x1000 + v, v % 3 == 0 ? 2 : 1);
+        if (v % 7 == 0)
+            tlb.insertHuge((1000 + v % 50) * kHugePageSpan, 0x80000 + v,
+                           1);
+        if (v % 5 == 0) {
+            results.push_back(tlb.lookup(v / 2, 1));
+            results.push_back(
+                tlb.lookup((1000 + v % 60) * kHugePageSpan + 3, 1));
+        }
+        if (v % 11 == 0)
+            tlb.invalidatePage(v / 3, 1);
+        if (v % 97 == 0)
+            tlb.invalidateRange(v / 4, v / 4 + 20, 2);
+        if (v == 900)
+            tlb.flushAll();
+    }
+    for (Vpn v = 0; v < 1500; ++v)
+        results.push_back(tlb.lookup(v, v % 3 == 0 ? 2 : 1));
+    return results;
+}
+
+TEST(TlbGolden, FlushThenRefillMatchesFreshTlb)
+{
+    // 1 base page leaves L1 nearly empty; 66 fill L1 and put two in
+    // L2; 2000 fill every level. Whatever a flush left behind, the
+    // refill must replay a freshly built TLB's hits, misses,
+    // evictions and listener traffic exactly.
+    for (Vpn prefill : {Vpn{1}, Vpn{66}, Vpn{2000}}) {
+        Tlb flushed(0, 64, 1024, 32);
+        for (Vpn v = 0; v < prefill; ++v) {
+            flushed.insert(5000 + v, v, 1);
+            if (v < 40)
+                flushed.insertHuge((3000 + v) * kHugePageSpan, v, 1);
+        }
+        ASSERT_GT(flushed.hugeSize(), 0u);
+        flushed.flushAll();
+        ASSERT_EQ(flushed.size(), 0u);
+
+        Tlb fresh(0, 64, 1024, 32);
+        LogListener flushed_log;
+        LogListener fresh_log;
+        flushed.setListener(&flushed_log);
+        fresh.setListener(&fresh_log);
+        EXPECT_EQ(refill(flushed), refill(fresh)) << prefill;
+        EXPECT_EQ(flushed_log.log, fresh_log.log) << prefill;
+        EXPECT_EQ(flushed.size(), fresh.size()) << prefill;
+    }
 }
 
 class TlbFillSweep : public ::testing::TestWithParam<unsigned>
