@@ -85,6 +85,12 @@ struct ScenarioResult
      * would let a counter-shifting engine bug slip through.
      */
     std::uint64_t statsDigest = 0;
+    /**
+     * Machine scenarios: host seconds outside wallSec spent building
+     * each machine and, where the scenario does it before its timed
+     * part, spawning tasks and prefilling memory.
+     */
+    double setupSec = 0;
 
     double
     eventsPerSec() const
@@ -231,6 +237,7 @@ runMunmapStorm(const char *name, bool no_fastpath,
 {
     std::uint64_t events = 0;
     double wall = 0;
+    double setup = 0;
     std::uint64_t digest = 1469598103934665603ULL;
     for (PolicyKind policy :
          {PolicyKind::LinuxSync, PolicyKind::Latr}) {
@@ -238,7 +245,11 @@ runMunmapStorm(const char *name, bool no_fastpath,
         config.noFastpath = no_fastpath;
         config.simThreads = sim_threads;
         config.pinSimThreads = pin_sim_threads;
+        // The microbenchmark spawns its tasks inside the timed call,
+        // so set-up here is the machine's construction alone.
+        const auto built = std::chrono::steady_clock::now();
         Machine machine(config, policy);
+        setup += wallSeconds(built);
         MunmapMicrobenchConfig cfg;
         cfg.sharingCores = 16;
         cfg.pages = 4;
@@ -251,7 +262,7 @@ runMunmapStorm(const char *name, bool no_fastpath,
         events += machine.queue().executed();
         digest = fnvString(digest, machine.stats().dump());
     }
-    return {name, events, wall, digest};
+    return {name, events, wall, digest, setup};
 }
 
 /**
@@ -289,6 +300,7 @@ runBigMachine(const char *name, bool no_fastpath,
 
     std::uint64_t events = 0;
     double wall = 0;
+    double setup = 0;
     std::uint64_t digest = 1469598103934665603ULL;
     for (PolicyKind policy : {PolicyKind::Latr, PolicyKind::Abis,
                               PolicyKind::Predictive}) {
@@ -304,6 +316,7 @@ runBigMachine(const char *name, bool no_fastpath,
         // rings headroom so the scenario measures sweeps, not the
         // ring-full IPI fallback.
         config.latrStatesPerCore = 256;
+        const auto built = std::chrono::steady_clock::now();
         Machine machine(config, policy);
         Kernel &kernel = machine.kernel();
         const unsigned cores = machine.topo().totalCores();
@@ -337,6 +350,7 @@ runBigMachine(const char *name, bool no_fastpath,
             }
         }
 
+        setup += wallSeconds(built);
         const auto start = std::chrono::steady_clock::now();
         machine.run(2 * machine.config().cost.tickInterval);
         for (unsigned iter = 0; iter < kIterations; ++iter) {
@@ -398,7 +412,7 @@ runBigMachine(const char *name, bool no_fastpath,
             }
         }
     }
-    return {name, events, wall, digest};
+    return {name, events, wall, digest, setup};
 }
 
 /**
@@ -512,8 +526,10 @@ main(int argc, char **argv)
         json.row()
             .str("scenario", r.name)
             .num("events", r.events)
-            .num("wall_sec", r.wallSec)
-            .num("events_per_sec", r.eventsPerSec());
+            .num("wall_sec", r.wallSec);
+        if (i >= 2) // the machine scenarios
+            json.num("setup_sec", r.setupSec);
+        json.num("events_per_sec", r.eventsPerSec());
         // The big_machine rows carry the sharer-prediction fan-out
         // numbers: per-policy delivered IPIs and the reduction the
         // perceptron buys over full-mask LATR.

@@ -1,5 +1,7 @@
 #include "hw/cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace latr
@@ -11,11 +13,13 @@ LlcCache::LlcCache(std::uint64_t size_bytes, unsigned ways,
 {
     if (ways == 0 || line_bytes == 0)
         fatal("LLC needs nonzero ways and line size");
+    if (ways > 32)
+        fatal("LLC supports at most 32 ways, not %u", ways);
     std::uint64_t lines = size_bytes / line_bytes;
     if (lines < ways)
         fatal("LLC smaller than one set");
     sets_ = static_cast<unsigned>(lines / ways);
-    lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    state_.assign(sets_, SetState{0, 0});
 }
 
 unsigned
@@ -30,21 +34,30 @@ LlcCache::setOf(std::uint64_t line_addr) const
 bool
 LlcCache::access(std::uint64_t line_addr, CacheAccessOrigin origin)
 {
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+    SetState &st = state_[setOf(line_addr)];
+    if (st.valid == 0) {
+        // An unfilled set holds nothing, so this access will fill it:
+        // append its block now.
+        st.block = static_cast<std::uint32_t>(lines_.size() / ways_);
+        lines_.resize(lines_.size() + ways_);
+    }
+    Line *base = lines_.data() + static_cast<std::size_t>(st.block) * ways_;
     ++useClock_;
 
     // Hits are partition-agnostic; only fills honor the CAT mask.
+    // Testing each way's bit, rather than walking the set bits, keeps
+    // the tag loads independent of the mask's, so they overlap.
     for (unsigned w = 0; w < ways_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == line_addr) {
+        if ((st.valid >> w & 1) && line.tag == line_addr) {
             line.lastUse = useClock_;
             ++hits_[static_cast<int>(origin)];
             return true;
         }
     }
 
-    // Victim selection within the origin's way partition.
+    // Victim selection within the origin's way partition: the lowest
+    // invalid way, else the least recently used one.
     unsigned first = 0;
     unsigned last = ways_; // exclusive
     if (latrWays_ > 0 && latrWays_ < ways_) {
@@ -53,21 +66,21 @@ LlcCache::access(std::uint64_t line_addr, CacheAccessOrigin origin)
         else
             first = latrWays_;
     }
-    Line *lru = &base[first];
-    for (unsigned w = first; w < last; ++w) {
-        Line &line = base[w];
-        if (!line.valid) {
-            lru = &line;
-            break;
-        }
-        if (lru->valid && line.lastUse < lru->lastUse)
-            lru = &line;
+    const std::uint32_t part =
+        static_cast<std::uint32_t>((1ULL << last) - (1ULL << first));
+    unsigned victim = first;
+    if (const std::uint32_t empty = part & ~st.valid) {
+        victim = std::countr_zero(empty);
+        st.valid |= 1u << victim;
+    } else {
+        for (unsigned w = first + 1; w < last; ++w)
+            if (base[w].lastUse < base[victim].lastUse)
+                victim = w;
     }
 
     ++misses_[static_cast<int>(origin)];
-    lru->valid = true;
-    lru->tag = line_addr;
-    lru->lastUse = useClock_;
+    base[victim].tag = line_addr;
+    base[victim].lastUse = useClock_;
     return false;
 }
 
@@ -82,10 +95,13 @@ LlcCache::setLatrReservedWays(unsigned ways)
 bool
 LlcCache::probe(std::uint64_t line_addr) const
 {
-    const unsigned set = setOf(line_addr);
-    const Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+    const SetState &st = state_[setOf(line_addr)];
+    if (st.valid == 0)
+        return false; // no block yet
+    const Line *base =
+        lines_.data() + static_cast<std::size_t>(st.block) * ways_;
     for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].valid && base[w].tag == line_addr)
+        if ((st.valid >> w & 1) && base[w].tag == line_addr)
             return true;
     return false;
 }

@@ -37,7 +37,7 @@ class LlcCache
   public:
     /**
      * @param size_bytes total capacity.
-     * @param ways associativity.
+     * @param ways associativity, at most 32.
      * @param line_bytes cache-line size.
      */
     LlcCache(std::uint64_t size_bytes, unsigned ways, unsigned line_bytes);
@@ -77,11 +77,22 @@ class LlcCache
     /// @}
 
   private:
+    /** Read only where its way's valid bit is set. */
     struct Line
     {
-        std::uint64_t tag = ~0ULL;
+        std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
+    };
+
+    /**
+     * Bit w of @c valid is set once way w holds a line. A set's
+     * ways are the @c block'th run of ways_ lines in lines_; the
+     * block exists once the set has been accessed.
+     */
+    struct SetState
+    {
+        std::uint32_t valid;
+        std::uint32_t block;
     };
 
     unsigned setOf(std::uint64_t line_addr) const;
@@ -91,7 +102,13 @@ class LlcCache
     unsigned lineBytes_;
     unsigned sets_;
     std::uint64_t useClock_ = 0;
-    std::vector<Line> lines_; // sets_ * ways_, row-major by set
+    /**
+     * One block of ways_ lines per set accessed so far, in the order
+     * of first access: it grows with the sets a run touches, not
+     * with the cache's size, and every line in it is initialised.
+     */
+    std::vector<Line> lines_;
+    std::vector<SetState> state_; // per set
 
     std::uint64_t hits_[3] = {0, 0, 0};
     std::uint64_t misses_[3] = {0, 0, 0};

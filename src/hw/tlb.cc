@@ -17,11 +17,7 @@ Tlb::Level::Level(unsigned capacity) : capacity_(capacity)
         table_size <<= 1;
     mask_ = table_size - 1;
     table_.assign(table_size, kNil);
-    slots_.resize(capacity);
-    for (unsigned i = 0; i < capacity; ++i)
-        slots_[i].next = static_cast<std::uint16_t>(
-            i + 1 < capacity ? i + 1 : kNil);
-    freeHead_ = 0;
+    slots_ = std::make_unique_for_overwrite<Slot[]>(capacity);
 }
 
 std::uint16_t
@@ -145,8 +141,13 @@ Tlb::Level::insert(const Entry &e, Entry *victim_out, bool *had_victim)
         *had_victim = true;
         eraseSlot(tail_);
     }
-    const std::uint16_t slot = freeHead_;
-    freeHead_ = slots_[slot].next;
+    // Freed slots first, then never-used ones in index order: the
+    // order of a free list that started as 0, 1, ..., capacity - 1.
+    std::uint16_t slot = freeHead_;
+    if (slot != kNil)
+        freeHead_ = slots_[slot].next;
+    else
+        slot = unused_++;
     slots_[slot].entry = e;
     linkFront(slot);
     std::uint32_t pos = hashOf(e.key) & mask_;

@@ -19,6 +19,7 @@
 #define LATR_HW_TLB_HH_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/types.hh"
@@ -254,7 +255,9 @@ class Tlb
      * One fully associative LRU level: a slot array sized once at
      * construction, an intrusive MRU→LRU index chain through the
      * slots, and a linear-probe index table at ≤50% load. No member
-     * allocates after the constructor.
+     * allocates after the constructor, and the constructor writes no
+     * slot: inserts reuse freed slots, else take the next never-used
+     * one from a cursor.
      */
     class Level
     {
@@ -361,7 +364,9 @@ class Tlb
         std::uint16_t head_ = kNil; // MRU
         std::uint16_t tail_ = kNil; // LRU
         std::uint16_t freeHead_ = kNil;
-        std::vector<Slot> slots_;
+        /** Slots from here up have never held an entry. */
+        std::uint16_t unused_ = 0;
+        std::unique_ptr<Slot[]> slots_; // written when first used
         std::vector<std::uint16_t> table_; // slot index or kNil
     };
 

@@ -13,6 +13,7 @@
 #define LATR_MEM_FRAME_ALLOCATOR_HH_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -77,17 +78,22 @@ class FrameAllocator
     /**
      * Allocate the lowest-numbered free frame of @p node (no
      * fallback) — the compaction daemon's migration target. Linear
-     * in the free-list size; meant for background daemons, not the
-     * fault path.
+     * in the number of returned frames (the never-allocated ones
+     * are sorted runs); meant for background daemons, not the fault
+     * path.
      * @return the frame, or kPfnInvalid if the node is exhausted.
      */
     Pfn allocLowest(NodeId node);
 
     /**
      * Allocate a 2 MiB huge frame on @p node: the lowest free,
-     * kHugePageSpan-aligned run of kHugePageSpan base frames. Every
-     * constituent frame gets refcount 1. Linear scan — background /
-     * fault-slow-path use. Fragmentation makes this fail long before
+     * globally kHugePageSpan-aligned run of kHugePageSpan base
+     * frames. Every constituent frame gets refcount 1. The search
+     * checks refcounts window by window up to each window's first
+     * busy frame; claiming the run costs a binary search of the
+     * never-allocated runs, plus one pass over the returned frames
+     * only when some of the run had been returned. Fault-slow-path
+     * and background use. Fragmentation makes this fail long before
      * the node is full (which is what the compaction daemon exists
      * to repair).
      * @return the base frame, or kPfnInvalid.
@@ -122,7 +128,37 @@ class FrameAllocator
     unsigned nodes() const { return nodes_; }
 
   private:
+    /**
+     * One node's free frames. Their hand-out order is that of a
+     * single LIFO list which started with every frame pushed
+     * highest first: the never-allocated frames lie at its bottom,
+     * highest first, and the frames put() back since lie on top.
+     */
+    struct NodeFree
+    {
+        /**
+         * Never-allocated frames as disjoint ascending [lo, hi)
+         * runs, highest run first, so the lowest one is
+         * fresh.back().first. One run at construction.
+         */
+        std::vector<std::pair<Pfn, Pfn>> fresh;
+        /** Frames returned by put(), most recent last. */
+        std::vector<Pfn> returned;
+    };
+
     void checkPfn(Pfn pfn) const;
+
+    /** Hand out free frame @p pfn: refcount 0 -> 1, listeners fire. */
+    Pfn claim(Pfn pfn);
+
+    /** Remove and return the lowest never-allocated frame of @p nf. */
+    static Pfn takeLowestFresh(NodeFree &nf);
+
+    /**
+     * Remove [lo, hi) from @p nf's never-allocated runs.
+     * @return how many of its frames were never allocated.
+     */
+    static std::uint64_t takeFresh(NodeFree &nf, Pfn lo, Pfn hi);
 
     void
     notifyAlloc(Pfn pfn)
@@ -140,8 +176,8 @@ class FrameAllocator
 
     unsigned nodes_;
     std::uint64_t framesPerNode_;
-    std::vector<std::vector<Pfn>> freeLists_; // per node, LIFO
-    std::vector<std::uint32_t> refcounts_;    // per frame
+    std::vector<NodeFree> free_;           // per node
+    std::vector<std::uint32_t> refcounts_; // per frame
     std::uint64_t allocated_ = 0;
     std::vector<FrameListener *> listeners_;
 };

@@ -386,15 +386,13 @@ AddressSpace::eraseHoldback(Addr start)
 bool
 AddressSpace::rangeHeldBack(Addr start, Addr end) const
 {
-    auto it = holdback_.upper_bound(end - 1);
-    while (it != holdback_.begin()) {
-        --it;
-        if (it->second <= start)
-            return false;
-        if (it->first < end && it->second > start)
-            return true;
-    }
-    return false;
+    // Held-back ranges may nest, so one that ends before start says
+    // nothing about those that begin below it.
+    const auto last = holdback_.lower_bound(end);
+    return std::any_of(holdback_.begin(), last,
+                       [start](const auto &kv) {
+                           return kv.second > start;
+                       });
 }
 
 std::uint64_t

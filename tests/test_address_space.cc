@@ -335,6 +335,10 @@ TEST_F(AddressSpaceFixture, NestedHoldbackBlocksItsWholeRange)
     mm.holdbackRange(a, a + 4 * kPageSize);
     mm.holdbackRange(a + kPageSize, a + 10 * kPageSize);
     mm.holdbackRange(a + 2 * kPageSize, a + 3 * kPageSize);
+    // Only [a+1, a+10) holds page a + 5, behind two later starts.
+    EXPECT_TRUE(mm.rangeHeldBack(a + 5 * kPageSize, a + 6 * kPageSize));
+    EXPECT_FALSE(
+        mm.rangeHeldBack(a + 10 * kPageSize, a + 11 * kPageSize));
     EXPECT_EQ(mm.mmapRegion(kPageSize, kProtRead), a + 10 * kPageSize);
 }
 

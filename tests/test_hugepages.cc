@@ -26,6 +26,19 @@ TEST(HugeFrames, AllocHugeIsAlignedAndContiguous)
     EXPECT_EQ(fa.freeFrames(0), 4096u);
 }
 
+TEST(HugeFrames, AllocHugeIsGloballyAlignedOnUnalignedNodes)
+{
+    // Node 1 owns [1000, 2000): its only whole aligned run is
+    // [1024, 1536), the one putHuge() accepts.
+    FrameAllocator fa(2, 1000);
+    const Pfn base = fa.allocHuge(1);
+    EXPECT_EQ(base, 1024u);
+    EXPECT_EQ(fa.allocHuge(1), kPfnInvalid);
+    fa.putHuge(base);
+    EXPECT_EQ(fa.freeFrames(1), 1000u);
+    EXPECT_EQ(fa.allocHuge(1), 1024u);
+}
+
 TEST(HugeFrames, FragmentationDefeatsHugeAllocation)
 {
     FrameAllocator fa(1, 1024);
