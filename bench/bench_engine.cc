@@ -23,14 +23,6 @@
 //                  hard gate: Predictive must deliver >= 40% fewer
 //                  IPIs than full-mask LATR (exit 4 otherwise).
 //
-// The machine scenarios run twice: on the classic sequential engine
-// and on the parallel batched engine (`--sim-threads=N`, default 4;
-// `--pin-sim-threads` pins its workers to host CPUs for quiet-host
-// measurement), reported as munmap_storm / munmap_storm_tN and
-// big_machine / big_machine_tN. Both runs must execute the exact same event count
-// — the bench exits 3 if they diverge, a cheap standing equivalence
-// check on the parallel engine.
-//
 // Each scenario reports events/sec; `--json=FILE` writes the rows in
 // the shared BENCH_*.json shape so the perf trajectory is tracked
 // from run to run. `--check-against=BASELINE.json` exits nonzero if
@@ -38,7 +30,8 @@
 // 0.30) below the baseline, and complains loudly when a baseline
 // scenario is missing from the run — the CI perf-smoke gate.
 // `--no-fastpath` runs the machine scenarios on the naive engine
-// paths, quantifying what the fast paths buy.
+// paths, quantifying what the fast paths buy. Any other argument
+// exits 2 before anything runs.
 
 #include <chrono>
 #include <cstdio>
@@ -50,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_runner.hh"
 #include "bench_util.hh"
 #include "hw/tlb.hh"
 #include "machine/machine.hh"
@@ -79,13 +71,6 @@ struct ScenarioResult
     std::uint64_t events;
     double wallSec;
     /**
-     * FNV digest over every constituent machine's full stat dump,
-     * folded across the scenario's policies. The sequential/_tN
-     * pairs must match on this too — "same event count" alone
-     * would let a counter-shifting engine bug slip through.
-     */
-    std::uint64_t statsDigest = 0;
-    /**
      * Machine scenarios: host seconds outside wallSec spent building
      * each machine and, where the scenario does it before its timed
      * part, spawning tasks and prefilling memory.
@@ -99,16 +84,6 @@ struct ScenarioResult
                            : 0.0;
     }
 };
-
-std::uint64_t
-fnvString(std::uint64_t h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 /** Per-policy IPI fan-out of one big_machine run (the pred gate). */
 struct BigMachineCounters
@@ -232,19 +207,15 @@ runTlbChurn()
 }
 
 ScenarioResult
-runMunmapStorm(const char *name, bool no_fastpath,
-               unsigned sim_threads, bool pin_sim_threads)
+runMunmapStorm(bool no_fastpath)
 {
     std::uint64_t events = 0;
     double wall = 0;
     double setup = 0;
-    std::uint64_t digest = 1469598103934665603ULL;
     for (PolicyKind policy :
          {PolicyKind::LinuxSync, PolicyKind::Latr}) {
         MachineConfig config = MachineConfig::commodity2S16C();
         config.noFastpath = no_fastpath;
-        config.simThreads = sim_threads;
-        config.pinSimThreads = pin_sim_threads;
         // The microbenchmark spawns its tasks inside the timed call,
         // so set-up here is the machine's construction alone.
         const auto built = std::chrono::steady_clock::now();
@@ -260,9 +231,8 @@ runMunmapStorm(const char *name, bool no_fastpath,
         runMunmapMicrobench(machine, cfg);
         wall += wallSeconds(start);
         events += machine.queue().executed();
-        digest = fnvString(digest, machine.stats().dump());
     }
-    return {name, events, wall, digest, setup};
+    return {"munmap_storm", events, wall, setup};
 }
 
 /**
@@ -288,9 +258,7 @@ runMunmapStorm(const char *name, bool no_fastpath,
  * >= 40%-fewer-IPIs gate in main().
  */
 ScenarioResult
-runBigMachine(const char *name, bool no_fastpath,
-              unsigned sim_threads, bool pin_sim_threads,
-              BigMachineCounters *counters)
+runBigMachine(bool no_fastpath, BigMachineCounters &counters)
 {
     constexpr unsigned kPublishers = 20;
     constexpr unsigned kIterations = 400;
@@ -301,13 +269,10 @@ runBigMachine(const char *name, bool no_fastpath,
     std::uint64_t events = 0;
     double wall = 0;
     double setup = 0;
-    std::uint64_t digest = 1469598103934665603ULL;
     for (PolicyKind policy : {PolicyKind::Latr, PolicyKind::Abis,
                               PolicyKind::Predictive}) {
         MachineConfig config = MachineConfig::largeNuma8S120C();
         config.noFastpath = no_fastpath;
-        config.simThreads = sim_threads;
-        config.pinSimThreads = pin_sim_threads;
         // Tagged TLBs: context switches on the oversubscribed cores
         // must not flush residency, or the global mm's mask (and the
         // wide shootdown) degenerates.
@@ -390,29 +355,25 @@ runBigMachine(const char *name, bool no_fastpath,
         machine.run(6 * kMsec);
         wall += wallSeconds(start);
         events += machine.queue().executed();
-        digest = fnvString(digest, machine.stats().dump());
-        if (counters) {
-            const std::uint64_t ipis = machine.stats().counterValue(
-                "coh.remote_interrupts");
-            if (policy == PolicyKind::Latr)
-                counters->latrIpis = ipis;
-            else if (policy == PolicyKind::Abis)
-                counters->abisIpis = ipis;
-            else if (policy == PolicyKind::Predictive) {
-                counters->predIpis = ipis;
-                counters->predSaved = machine.stats().counterValue(
-                    "pred.ipis_saved");
-                counters->predMispredicts =
-                    machine.stats().counterValue("pred.mispredicts");
-                counters->predFallbacks =
-                    machine.stats().counterValue(
-                        "pred.fallback_shootdowns");
-                counters->predVerifies =
-                    machine.stats().counterValue("pred.verifies");
-            }
+        const std::uint64_t ipis = machine.stats().counterValue(
+            "coh.remote_interrupts");
+        if (policy == PolicyKind::Latr) {
+            counters.latrIpis = ipis;
+        } else if (policy == PolicyKind::Abis) {
+            counters.abisIpis = ipis;
+        } else if (policy == PolicyKind::Predictive) {
+            counters.predIpis = ipis;
+            counters.predSaved =
+                machine.stats().counterValue("pred.ipis_saved");
+            counters.predMispredicts =
+                machine.stats().counterValue("pred.mispredicts");
+            counters.predFallbacks = machine.stats().counterValue(
+                "pred.fallback_shootdowns");
+            counters.predVerifies =
+                machine.stats().counterValue("pred.verifies");
         }
     }
-    return {name, events, wall, digest, setup};
+    return {"big_machine", events, wall, setup};
 }
 
 /**
@@ -454,6 +415,9 @@ baselineScenarios(const std::string &path)
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_engine", argc, argv,
+                             {"--json=", "--check-against=",
+                              "--max-regression=", "--no-fastpath"});
     std::string checkAgainst;
     double maxRegression = 0.30;
     bool noFastpath = false;
@@ -468,12 +432,6 @@ main(int argc, char **argv)
     // Accept either a fraction (0.30) or a percentage (30).
     if (maxRegression > 1.0)
         maxRegression /= 100.0;
-    // Threaded machine rows: default 4, overridable for hosts where
-    // a different count is the interesting one.
-    unsigned simThreads = bench::simThreadsFromArgs(argc, argv);
-    if (simThreads == 0)
-        simThreads = 4;
-    const bool pinSim = bench::pinSimThreadsFromArgs(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Engine", "simulation-engine throughput", config);
@@ -486,35 +444,17 @@ main(int argc, char **argv)
     bench::rule();
 
     bench::JsonWriter json("Engine", "simulation-engine throughput");
-    json.config("sim_threads", std::uint64_t{simThreads})
-        .config("no_fastpath", std::uint64_t{noFastpath ? 1u : 0u})
-        .config("pin_sim_threads", std::uint64_t{pinSim ? 1u : 0u})
+    json.config("no_fastpath", std::uint64_t{noFastpath ? 1u : 0u})
         .config("host_cpus",
                 std::uint64_t{std::thread::hardware_concurrency()})
         .config("jobs", std::uint64_t{1});
 
-    char threadedStorm[32], threadedBig[32];
-    std::snprintf(threadedStorm, sizeof threadedStorm,
-                  "munmap_storm_t%u", simThreads);
-    std::snprintf(threadedBig, sizeof threadedBig, "big_machine_t%u",
-                  simThreads);
-
-    // The machine scenarios run twice — classic sequential engine
-    // and the batched engine at simThreads — and must execute the
-    // exact same event count: the parallel engine is a host-speed
-    // knob, never a model change.
     std::vector<ScenarioResult> results;
-    BigMachineCounters bigSeq, bigThr;
+    BigMachineCounters big;
     results.push_back(runEventChurn());
     results.push_back(runTlbChurn());
-    results.push_back(
-        runMunmapStorm("munmap_storm", noFastpath, 0, false));
-    results.push_back(runMunmapStorm(threadedStorm, noFastpath,
-                                     simThreads, pinSim));
-    results.push_back(
-        runBigMachine("big_machine", noFastpath, 0, false, &bigSeq));
-    results.push_back(runBigMachine(threadedBig, noFastpath,
-                                    simThreads, pinSim, &bigThr));
+    results.push_back(runMunmapStorm(noFastpath));
+    results.push_back(runBigMachine(noFastpath, big));
 
     double stormEps = 0;
     double bigEps = 0;
@@ -530,92 +470,52 @@ main(int argc, char **argv)
         if (i >= 2) // the machine scenarios
             json.num("setup_sec", r.setupSec);
         json.num("events_per_sec", r.eventsPerSec());
-        // The big_machine rows carry the sharer-prediction fan-out
+        // The big_machine row carries the sharer-prediction fan-out
         // numbers: per-policy delivered IPIs and the reduction the
         // perceptron buys over full-mask LATR.
-        if (std::strncmp(r.name, "big_machine", 11) == 0) {
-            const BigMachineCounters &bc =
-                (i & 1) ? bigThr : bigSeq;
-            json.num("ipis_latr", bc.latrIpis)
-                .num("ipis_abis", bc.abisIpis)
-                .num("ipis_pred", bc.predIpis)
-                .num("pred_ipi_reduction", bc.reductionVsLatr())
-                .num("pred_ipis_saved", bc.predSaved)
-                .num("pred_mispredicts", bc.predMispredicts)
-                .num("pred_fallback_shootdowns", bc.predFallbacks)
-                .num("pred_verifies", bc.predVerifies);
-        }
-        // Machine scenarios arrive as (sequential, _tN) pairs; record
-        // the measured ratio on the threaded row. Host-dependent, so
-        // it rides next to the host_cpus config rather than gating
-        // anything here.
-        if (i >= 3 && (i & 1) == 1 && r.wallSec > 0)
-            json.num("speedup_vs_seq",
-                     results[i - 1].wallSec / r.wallSec);
-        if (std::strcmp(r.name, "munmap_storm") == 0)
-            stormEps = r.eventsPerSec();
-        else if (std::strcmp(r.name, "big_machine") == 0)
+        if (std::strcmp(r.name, "big_machine") == 0) {
+            json.num("ipis_latr", big.latrIpis)
+                .num("ipis_abis", big.abisIpis)
+                .num("ipis_pred", big.predIpis)
+                .num("pred_ipi_reduction", big.reductionVsLatr())
+                .num("pred_ipis_saved", big.predSaved)
+                .num("pred_mispredicts", big.predMispredicts)
+                .num("pred_fallback_shootdowns", big.predFallbacks)
+                .num("pred_verifies", big.predVerifies);
             bigEps = r.eventsPerSec();
+        } else if (std::strcmp(r.name, "munmap_storm") == 0) {
+            stormEps = r.eventsPerSec();
+        }
     }
     bench::rule();
-    for (std::size_t i = 2; i + 1 < results.size(); i += 2) {
-        if (results[i].events != results[i + 1].events) {
-            std::fprintf(
-                stderr,
-                "bench_engine: %s executed %llu events but %s "
-                "executed %llu — the parallel engine changed the "
-                "simulation\n",
-                results[i].name,
-                static_cast<unsigned long long>(results[i].events),
-                results[i + 1].name,
-                static_cast<unsigned long long>(
-                    results[i + 1].events));
-            return 3;
-        }
-        if (results[i].statsDigest != results[i + 1].statsDigest) {
-            std::fprintf(
-                stderr,
-                "bench_engine: %s stat digest %016llx != %s stat "
-                "digest %016llx — counters diverged between the "
-                "sequential and parallel engines\n",
-                results[i].name,
-                static_cast<unsigned long long>(
-                    results[i].statsDigest),
-                results[i + 1].name,
-                static_cast<unsigned long long>(
-                    results[i + 1].statsDigest));
-            return 3;
-        }
-    }
 
     // The sharer-prediction fan-out gate: on the wide-mask scenario
     // the perceptron must deliver at least 40% fewer IPIs than
     // full-mask LATR, or the predictor has regressed into predicting
     // (nearly) everyone. Simulated counters, so this is exact and
-    // host-independent; the digest check above already proved the
-    // threaded run's counters identical.
+    // host-independent.
     constexpr double kMinPredReduction = 0.40;
     std::printf("pred gate [big_machine]: LATR %llu IPIs, Predictive "
                 "%llu (%.1f%% reduction, floor %.0f%%, %llu "
                 "mispredicted entries, %llu fallback shootdowns): "
                 "%s\n",
-                static_cast<unsigned long long>(bigSeq.latrIpis),
-                static_cast<unsigned long long>(bigSeq.predIpis),
-                100.0 * bigSeq.reductionVsLatr(),
+                static_cast<unsigned long long>(big.latrIpis),
+                static_cast<unsigned long long>(big.predIpis),
+                100.0 * big.reductionVsLatr(),
                 100.0 * kMinPredReduction,
                 static_cast<unsigned long long>(
-                    bigSeq.predMispredicts),
-                static_cast<unsigned long long>(bigSeq.predFallbacks),
-                bigSeq.reductionVsLatr() >= kMinPredReduction
+                    big.predMispredicts),
+                static_cast<unsigned long long>(big.predFallbacks),
+                big.reductionVsLatr() >= kMinPredReduction
                     ? "ok"
                     : "REGRESSION");
-    if (bigSeq.reductionVsLatr() < kMinPredReduction) {
+    if (big.reductionVsLatr() < kMinPredReduction) {
         std::fprintf(stderr,
                      "bench_engine: Predictive delivered %llu IPIs "
                      "vs LATR's %llu on big_machine — below the "
                      "%.0f%% reduction floor\n",
-                     static_cast<unsigned long long>(bigSeq.predIpis),
-                     static_cast<unsigned long long>(bigSeq.latrIpis),
+                     static_cast<unsigned long long>(big.predIpis),
+                     static_cast<unsigned long long>(big.latrIpis),
                      100.0 * kMinPredReduction);
         return 4;
     }
@@ -623,11 +523,11 @@ main(int argc, char **argv)
     bench::measuredHeadline(
         "munmap_storm %.0f events/sec, big_machine %.0f events/sec, "
         "pred IPI fan-out -%.1f%% vs LATR",
-        stormEps, bigEps, 100.0 * bigSeq.reductionVsLatr());
+        stormEps, bigEps, 100.0 * big.reductionVsLatr());
     json.headline(
         "munmap_storm %.0f events/sec, big_machine %.0f events/sec, "
         "pred IPI fan-out -%.1f%% vs LATR",
-        stormEps, bigEps, 100.0 * bigSeq.reductionVsLatr());
+        stormEps, bigEps, 100.0 * big.reductionVsLatr());
     json.baselineFile(checkAgainst);
     json.write(bench::jsonPathFromArgs(argc, argv));
 
@@ -665,9 +565,7 @@ main(int argc, char **argv)
                     base.first.c_str());
                 for (const ScenarioResult &r : results)
                     std::fprintf(stderr, " %s", r.name);
-                std::fprintf(stderr,
-                             "); re-run with matching --sim-threads "
-                             "or refresh the baseline\n");
+                std::fprintf(stderr, "); refresh the baseline\n");
                 return 2;
             }
             const double floor = base.second * (1.0 - maxRegression);

@@ -7,15 +7,11 @@
 // because a lazycache run that never overflows the ring is not
 // measuring the path this workload was built to stress.
 //
-// The LATR and Linux rows also run on the parallel batched engine
-// (`--sim-threads=N`, default 4) as lazycache_*_tN; the workload's
-// steps declare footprints, and results must be byte-identical to
-// the sequential rows — exit 3 on digest divergence.
-//
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
 // `--check-against=BASELINE.json` exits nonzero when a policy's
 // events/s drops more than --max-regression (default 0.30) below the
-// baseline — simulated time, so deterministic on one build.
+// baseline — simulated time, so deterministic on one build. Any
+// other argument exits 2 before anything runs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_runner.hh"
 #include "bench_util.hh"
 #include "machine/machine.hh"
 #include "tlbcoh/policy.hh"
@@ -42,22 +37,16 @@ constexpr Duration kMeasured = 200 * kMsec;
 struct CacheRow
 {
     std::string name;
-    PolicyKind kind;
-    unsigned simThreads;
     LazyCacheResult result;
 };
 
 CacheRow
 runPolicy(const std::string &name, PolicyKind kind,
-          unsigned sim_threads, bool pin, const LazyCacheConfig &cfg)
+          const LazyCacheConfig &cfg)
 {
-    MachineConfig config = MachineConfig::commodity2S16C();
-    config.simThreads = sim_threads;
-    config.pinSimThreads = pin;
-    Machine machine(config, kind);
+    Machine machine(MachineConfig::commodity2S16C(), kind);
     LazyCacheWorkload cache(machine, cfg);
-    return CacheRow{name, kind, sim_threads,
-                    cache.measure(kWarmup, kMeasured)};
+    return CacheRow{name, cache.measure(kWarmup, kMeasured)};
 }
 
 /** (scenario, events_per_sec) rows of an earlier BENCH json. */
@@ -94,6 +83,9 @@ baselineScenarios(const std::string &path)
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_lazycache", argc, argv,
+                             {"--json=", "--check-against=",
+                              "--max-regression="});
     std::string checkAgainst;
     double maxRegression = 0.30;
     for (int i = 1; i < argc; ++i) {
@@ -104,10 +96,6 @@ main(int argc, char **argv)
     }
     if (maxRegression > 1.0)
         maxRegression /= 100.0;
-    unsigned simThreads = bench::simThreadsFromArgs(argc, argv);
-    if (simThreads == 0)
-        simThreads = 4;
-    const bool pinSim = bench::pinSimThreadsFromArgs(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner(
@@ -135,45 +123,25 @@ main(int argc, char **argv)
                 "hit", "fb_ipis", "reclaimed");
     bench::rule();
 
-    char latrT[32], linuxT[32], abisT[32];
-    std::snprintf(latrT, sizeof latrT, "lazycache_latr_t%u",
-                  simThreads);
-    std::snprintf(linuxT, sizeof linuxT, "lazycache_linux_t%u",
-                  simThreads);
-    std::snprintf(abisT, sizeof abisT, "lazycache_abis_t%u",
-                  simThreads);
-
     std::vector<CacheRow> rows;
     rows.push_back(runPolicy("lazycache_linux", PolicyKind::LinuxSync,
-                             0, false, scenario));
-    rows.push_back(
-        runPolicy("lazycache_latr", PolicyKind::Latr, 0, false,
-                  scenario));
-    rows.push_back(
-        runPolicy("lazycache_abis", PolicyKind::Abis, 0, false,
-                  scenario));
-    rows.push_back(runPolicy("lazycache_barrelfish",
-                             PolicyKind::Barrelfish, 0, false,
                              scenario));
+    rows.push_back(
+        runPolicy("lazycache_latr", PolicyKind::Latr, scenario));
+    rows.push_back(
+        runPolicy("lazycache_abis", PolicyKind::Abis, scenario));
+    rows.push_back(runPolicy("lazycache_barrelfish",
+                             PolicyKind::Barrelfish, scenario));
     // Sharer prediction under the densest free-then-reuse traffic in
     // the repo: MADV_FREE bursts train and stress the perceptron's
     // verify/fallback path.
     rows.push_back(runPolicy("lazycache_pred", PolicyKind::Predictive,
-                             0, false, scenario));
-    rows.push_back(runPolicy(linuxT, PolicyKind::LinuxSync,
-                             simThreads, pinSim, scenario));
-    rows.push_back(runPolicy(latrT, PolicyKind::Latr, simThreads,
-                             pinSim, scenario));
-    // The ABIS threaded row is the end-to-end check for the offloaded
-    // sharer harvest (lazycache's pressure bursts are what drive it).
-    rows.push_back(runPolicy(abisT, PolicyKind::Abis, simThreads,
-                             pinSim, scenario));
+                             scenario));
 
     bench::JsonWriter json(
         "LazyCache",
         "MADV_FREE page cache free-then-reuse throughput");
-    json.config("sim_threads", std::uint64_t{simThreads})
-        .config("cache_pages", scenario.cachePages)
+    json.config("cache_pages", scenario.cachePages)
         .config("burst_pages", scenario.burstPages)
         .config("pressure_interval_ns",
                 static_cast<std::uint64_t>(scenario.pressureInterval))
@@ -215,31 +183,6 @@ main(int argc, char **argv)
         }
     }
     bench::rule();
-
-    // The threaded rows must digest identically to their sequential
-    // twins — the footprints on the lazycache steps are either
-    // correct or this bench refuses to report.
-    for (const CacheRow &row : rows) {
-        if (row.simThreads == 0)
-            continue;
-        for (const CacheRow &base : rows) {
-            if (base.simThreads == 0 && base.kind == row.kind &&
-                base.result.digest != row.result.digest) {
-                std::fprintf(
-                    stderr,
-                    "bench_lazycache: %s digest %016llx != %s digest "
-                    "%016llx — the parallel engine changed the "
-                    "simulation\n",
-                    row.name.c_str(),
-                    static_cast<unsigned long long>(
-                        row.result.digest),
-                    base.name.c_str(),
-                    static_cast<unsigned long long>(
-                        base.result.digest));
-                return 3;
-            }
-        }
-    }
 
     // The whole point of the scenario: pressure bursts must actually
     // overflow the ring.
@@ -285,9 +228,7 @@ main(int argc, char **argv)
                     base.first.c_str());
                 for (const CacheRow &row : rows)
                     std::fprintf(stderr, " %s", row.name.c_str());
-                std::fprintf(stderr,
-                             "); re-run with matching --sim-threads "
-                             "or refresh the baseline\n");
+                std::fprintf(stderr, "); refresh the baseline\n");
                 return 2;
             }
             // Throughput gates downward: regression = events/s below

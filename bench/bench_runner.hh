@@ -47,42 +47,6 @@ jobsFromArgs(int argc, char **argv)
 }
 
 /**
- * `--sim-threads=N` from the bench's argv: the engine-internal
- * parallel-dispatch thread count (MachineConfig::simThreads). 0 (the
- * default, and the flag absent) keeps the classic sequential engine.
- * Orthogonal to `--jobs`: jobs parallelize across independent
- * machines, sim-threads parallelize event execution inside one
- * machine — and neither may change any simulated result.
- */
-inline unsigned
-simThreadsFromArgs(int argc, char **argv)
-{
-    unsigned threads = 0;
-    for (int i = 1; i < argc; ++i)
-        if (std::strncmp(argv[i], "--sim-threads=", 14) == 0)
-            threads =
-                static_cast<unsigned>(std::atoi(argv[i] + 14));
-    return threads;
-}
-
-/**
- * `--pin-sim-threads` from the bench's argv: pin the parallel
- * engine's worker threads to host CPUs
- * (MachineConfig::pinSimThreads). Off by default so `--jobs` sweeps
- * and concurrent shards don't stack every machine's workers on the
- * same host cores; turn on for single-machine throughput runs on an
- * idle host.
- */
-inline bool
-pinSimThreadsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--pin-sim-threads") == 0)
-            return true;
-    return false;
-}
-
-/**
  * Collects closures returning R and runs them across a thread pool.
  * Results land in submission order regardless of completion order.
  */

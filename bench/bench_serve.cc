@@ -7,20 +7,13 @@
 // histogram per tenant slot and emits tenantN_p99_us fields on every
 // JSON row.
 //
-// The LATR, Linux, and Predictive rows also run on the parallel
-// batched engine (`--sim-threads=N`, default 4) as serve_latr_tN /
-// serve_linux_tN / serve_pred_tN.
-// Simulated results must be byte-identical to the sequential rows —
-// the bench exits 3 if a digest diverges, a standing record/replay +
-// parallel-engine equivalence check.
-//
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
 // `--check-against=BASELINE.json` exits nonzero when a policy's p99
 // grows more than --max-regression (default 0.30) above the
 // baseline, or when a baseline scenario is missing from the run —
 // the CI tail-latency gate. Unlike the wall-clock gates, these rows
 // are simulated time: deterministic on one build, immune to host
-// noise.
+// noise. Any other argument exits 2 before anything runs.
 
 #include <chrono>
 #include <cstdio>
@@ -32,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_runner.hh"
 #include "bench_util.hh"
 #include "machine/machine.hh"
 #include "serve/latrace.hh"
@@ -47,31 +39,23 @@ namespace
 struct ServeRow
 {
     std::string name;
-    PolicyKind kind;
-    unsigned simThreads;
     ServeResult result;
-    /** Host wall time of the replay, for the _tN speedup ratio. */
+    /** Host wall time of the replay. */
     double wallSec = 0;
-    /** wall(sequential twin) / wall(this row); 0 for sequential. */
-    double speedup = 0;
 };
 
 ServeRow
 runPolicy(const std::string &name, PolicyKind kind,
-          unsigned sim_threads, bool pin, const Latrace &trace,
-          const ServeOptions &options)
+          const Latrace &trace, const ServeOptions &options)
 {
-    MachineConfig config = MachineConfig::commodity2S16C();
-    config.simThreads = sim_threads;
-    config.pinSimThreads = pin;
-    Machine machine(config, kind);
+    Machine machine(MachineConfig::commodity2S16C(), kind);
     const auto start = std::chrono::steady_clock::now();
     ServeResult result = runServeTrace(machine, trace, options);
     const double wall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
             .count();
-    return ServeRow{name, kind, sim_threads, result, wall, 0};
+    return ServeRow{name, result, wall};
 }
 
 /** (scenario, p99_us) rows of an earlier BENCH_serve.json. */
@@ -108,26 +92,22 @@ baselineScenarios(const std::string &path)
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_serve", argc, argv,
+                             {"--json=", "--check-against=",
+                              "--max-regression=", "--per-tenant"});
     std::string checkAgainst;
     double maxRegression = 0.30;
-    double minSpeedup = 1.3;
     ServeOptions serveOptions;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--check-against=", 16) == 0)
             checkAgainst = argv[i] + 16;
         else if (std::strncmp(argv[i], "--max-regression=", 17) == 0)
             maxRegression = std::atof(argv[i] + 17);
-        else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0)
-            minSpeedup = std::atof(argv[i] + 14);
         else if (std::strcmp(argv[i], "--per-tenant") == 0)
             serveOptions.perTenantLatency = true;
     }
     if (maxRegression > 1.0)
         maxRegression /= 100.0;
-    unsigned simThreads = bench::simThreadsFromArgs(argc, argv);
-    if (simThreads == 0)
-        simThreads = 4;
-    const bool pinSim = bench::pinSimThreadsFromArgs(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Serve",
@@ -152,57 +132,23 @@ main(int argc, char **argv)
                 "p50_us", "p99_us", "p999_us", "req/s");
     bench::rule();
 
-    char latrT[32], linuxT[32], predT[32];
-    std::snprintf(latrT, sizeof latrT, "serve_latr_t%u", simThreads);
-    std::snprintf(linuxT, sizeof linuxT, "serve_linux_t%u",
-                  simThreads);
-    std::snprintf(predT, sizeof predT, "serve_pred_t%u", simThreads);
-
     std::vector<ServeRow> rows;
+    rows.push_back(runPolicy("serve_linux", PolicyKind::LinuxSync,
+                             trace, serveOptions));
     rows.push_back(
-        runPolicy("serve_linux", PolicyKind::LinuxSync, 0, false,
-                  trace, serveOptions));
-    rows.push_back(runPolicy("serve_latr", PolicyKind::Latr, 0,
-                             false, trace, serveOptions));
-    rows.push_back(runPolicy("serve_abis", PolicyKind::Abis, 0,
-                             false, trace, serveOptions));
+        runPolicy("serve_latr", PolicyKind::Latr, trace, serveOptions));
+    rows.push_back(
+        runPolicy("serve_abis", PolicyKind::Abis, trace, serveOptions));
     rows.push_back(runPolicy("serve_barrelfish",
-                             PolicyKind::Barrelfish, 0, false, trace,
+                             PolicyKind::Barrelfish, trace,
                              serveOptions));
-    rows.push_back(runPolicy("serve_pred", PolicyKind::Predictive, 0,
-                             false, trace, serveOptions));
-    rows.push_back(runPolicy(linuxT, PolicyKind::LinuxSync,
-                             simThreads, pinSim, trace,
-                             serveOptions));
-    rows.push_back(runPolicy(latrT, PolicyKind::Latr, simThreads,
-                             pinSim, trace, serveOptions));
-    // The threaded Predictive row is the end-to-end check for the
-    // offloaded prediction-verify compute() phase under real serving
-    // load; its digest must match serve_pred's.
-    rows.push_back(runPolicy(predT, PolicyKind::Predictive,
-                             simThreads, pinSim, trace,
-                             serveOptions));
-
-    // The _tN-vs-sequential wall-clock ratio, the number the parallel
-    // engine exists for. Host-dependent (unlike everything simulated
-    // above), so the JSON records the host CPU count next to it and
-    // the gate below only arms when the host can actually run the
-    // lanes concurrently.
-    const unsigned hostCpus = std::thread::hardware_concurrency();
-    for (ServeRow &row : rows) {
-        if (row.simThreads == 0)
-            continue;
-        for (const ServeRow &base : rows)
-            if (base.simThreads == 0 && base.kind == row.kind &&
-                row.wallSec > 0)
-                row.speedup = base.wallSec / row.wallSec;
-    }
+    rows.push_back(runPolicy("serve_pred", PolicyKind::Predictive,
+                             trace, serveOptions));
 
     bench::JsonWriter json(
         "Serve", "open-loop serving tail latency (src/serve/)");
-    json.config("sim_threads", std::uint64_t{simThreads})
-        .config("pin_sim_threads", std::uint64_t{pinSim ? 1u : 0u})
-        .config("host_cpus", std::uint64_t{hostCpus})
+    json.config("host_cpus",
+                std::uint64_t{std::thread::hardware_concurrency()})
         .config("arrival_rate",
                 static_cast<std::uint64_t>(
                     scenario.arrivalRatePerSec))
@@ -239,8 +185,6 @@ main(int argc, char **argv)
             .num("completed", r.completed)
             .num("dropped_churn", r.droppedChurn)
             .num("wall_sec", row.wallSec);
-        if (row.simThreads > 0)
-            jr.num("speedup_vs_seq", row.speedup);
         // Per-tenant tail view (--per-tenant): one p99/count pair
         // per tenant slot, aggregated across churn generations.
         for (std::size_t t = 0; t < r.tenantLatency.size(); ++t) {
@@ -259,32 +203,6 @@ main(int argc, char **argv)
             predP99 = bench::us(r.p99());
     }
     bench::rule();
-
-    // The standing equivalence check: the threaded rows replay the
-    // same trace and must digest identically to their sequential
-    // twins — record/replay and the parallel engine are both
-    // model-preserving or this bench refuses to report.
-    for (const ServeRow &row : rows) {
-        if (row.simThreads == 0)
-            continue;
-        for (const ServeRow &base : rows) {
-            if (base.simThreads == 0 && base.kind == row.kind &&
-                base.result.digest != row.result.digest) {
-                std::fprintf(
-                    stderr,
-                    "bench_serve: %s digest %016llx != %s digest "
-                    "%016llx — the parallel engine changed the "
-                    "simulation\n",
-                    row.name.c_str(),
-                    static_cast<unsigned long long>(
-                        row.result.digest),
-                    base.name.c_str(),
-                    static_cast<unsigned long long>(
-                        base.result.digest));
-                return 3;
-            }
-        }
-    }
 
     bench::measuredHeadline(
         "LATR p99 %.1f us vs Linux p99 %.1f us (%.1fx); Predictive "
@@ -324,9 +242,7 @@ main(int argc, char **argv)
                     base.first.c_str());
                 for (const ServeRow &row : rows)
                     std::fprintf(stderr, " %s", row.name.c_str());
-                std::fprintf(stderr,
-                             "); re-run with matching --sim-threads "
-                             "or refresh the baseline\n");
+                std::fprintf(stderr, "); refresh the baseline\n");
                 return 2;
             }
             // Tail latency gates upward: regression = p99 above the
@@ -339,31 +255,6 @@ main(int argc, char **argv)
                         base.first.c_str(), got, base.second, ceiling,
                         got <= ceiling ? "ok" : "REGRESSION");
             if (got > ceiling)
-                failed = true;
-        }
-        // The wall-clock speedup gate: the LATR _tN row must beat its
-        // sequential twin by --min-speedup. Armed only when the host
-        // has a CPU per compute lane — anywhere else (CI containers,
-        // oversubscribed shells) the executor correctly declines to
-        // offload and the ratio measures scheduler noise, not the
-        // engine.
-        for (const ServeRow &row : rows) {
-            if (row.kind != PolicyKind::Latr || row.simThreads == 0)
-                continue;
-            if (hostCpus < row.simThreads) {
-                std::printf(
-                    "speedup gate [%s]: skipped (host has %u CPUs "
-                    "for %u lanes; measured %.2fx)\n",
-                    row.name.c_str(), hostCpus, row.simThreads,
-                    row.speedup);
-                continue;
-            }
-            std::printf("speedup gate [%s]: %.2fx vs sequential "
-                        "(floor %.2fx): %s\n",
-                        row.name.c_str(), row.speedup, minSpeedup,
-                        row.speedup >= minSpeedup ? "ok"
-                                                  : "REGRESSION");
-            if (row.speedup < minSpeedup)
                 failed = true;
         }
         if (failed)

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,12 +108,12 @@ gitSha()
  *     "experiment": "Figure 6",
  *     "description": "...",
  *     "headline": "...",
- *     "config": {"jobs": 4, "sim_threads": 0, ...},
+ *     "config": {"jobs": 4, "no_fastpath": 0, ...},
  *     "rows": [ {"cores": 16, "linux_us": 7.9, ...}, ... ]
  *   }
  *
  * The config object records the host-side knobs the bench ran with
- * (worker processes, engine threads, fast-path switches) so a
+ * (parallel jobs, fast-path switches, host CPUs) so a
  * BENCH_*.json is self-describing: two files can only be compared
  * when their configs match. Every document also records the git
  * commit it was built from and the baseline file it was gated
@@ -279,6 +280,37 @@ jsonPathFromArgs(int argc, char **argv)
         if (std::strncmp(argv[i], "--json=", 7) == 0)
             return argv[i] + 7;
     return "";
+}
+
+/**
+ * Exit 2 with a one-line message if any argument is not in
+ * @p accepted. An entry ending in '=' takes a value and matches by
+ * prefix; any other entry is a switch and matches exactly. Benches
+ * with a closed argument list call this before simulating, so a
+ * stale or misspelt flag fails instead of running the defaults.
+ */
+inline void
+rejectUnknownArgs(const char *bench, int argc, char **argv,
+                  std::initializer_list<const char *> accepted)
+{
+    for (int i = 1; i < argc; ++i) {
+        bool known = false;
+        for (const char *a : accepted) {
+            const std::size_t n = std::strlen(a);
+            known = a[n - 1] == '=' ? std::strncmp(argv[i], a, n) == 0
+                                    : std::strcmp(argv[i], a) == 0;
+            if (known)
+                break;
+        }
+        if (known)
+            continue;
+        std::string list;
+        for (const char *a : accepted)
+            list += std::string(" ") + a;
+        std::fprintf(stderr, "%s: unknown argument '%s' (accepted:%s)\n",
+                     bench, argv[i], list.c_str());
+        std::exit(2);
+    }
 }
 
 

@@ -36,7 +36,6 @@ struct Options
     int pcid = -1; // -1 = alternate (fuzz) / script header (replay)
     std::string machine = "small";
     bool noFastpath = false;
-    unsigned simThreads = 0;
     std::string outDir = ".";
     std::string tracePath;
     std::string inject;
@@ -61,9 +60,6 @@ usage(const char *argv0)
         "                    the 2x4 default or 8x15 (120 cores)\n"
         "  --no-fastpath     force the naive engine paths (tick\n"
         "                    wheel / sweep elision off)\n"
-        "  --sim-threads=N   run the parallel batched engine with N\n"
-        "                    threads (default 0: classic sequential);\n"
-        "                    results are byte-identical either way\n"
         "  --digest=N        print a stable per-(seed,policy) state\n"
         "                    digest for N generated scripts; diff the\n"
         "                    output across builds to prove a change\n"
@@ -102,11 +98,6 @@ parseArg(Options &opts, const char *arg, const char *next,
     }
     if (std::strcmp(arg, "--no-fastpath") == 0) {
         opts.noFastpath = true;
-        return true;
-    }
-    if (const char *v = value("--sim-threads")) {
-        opts.simThreads =
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         return true;
     }
     if (const char *v = value("--fuzz")) {
@@ -365,7 +356,6 @@ main(int argc, char **argv)
 
     ExecOptions exec;
     exec.noFastpath = opts.noFastpath;
-    exec.simThreads = opts.simThreads;
     if (!opts.inject.empty()) {
         if (opts.inject == "skip-latr-sweep") {
             exec.injectSkipLatrSweep = true;

@@ -60,7 +60,6 @@ struct Options
     std::uint64_t users = 0;    // 0 = ServeConfig default
     Duration churnInterval = kTickNever; // kTickNever = default
     std::uint64_t seed = 1;
-    unsigned simThreads = 0;
     std::string recordPath; // write the generated .latrace here
     std::string replayPath; // replay this .latrace instead
     double rateScale = 0.0; // 0/1 = no replay rate transform
@@ -100,7 +99,6 @@ usage(const char *argv0)
         "  --users=N           (simulated user population)\n"
         "  --churn-interval=N  (ns between tenant exits; 0 = off)\n"
         "  --seed=N            (arrival-stream RNG seed)\n"
-        "  --sim-threads=N     (parallel engine worker threads)\n"
         "  --record=FILE       (save the generated .latrace)\n"
         "  --replay=FILE       (replay FILE instead of generating;\n"
         "                       byte-identical results per policy)\n"
@@ -165,8 +163,6 @@ parseArg(Options &opts, const char *arg)
         opts.churnInterval = static_cast<Duration>(std::atoll(v));
     } else if (const char *v = value("--seed")) {
         opts.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--sim-threads")) {
-        opts.simThreads = static_cast<unsigned>(std::atoi(v));
     } else if (const char *v = value("--record")) {
         opts.recordPath = v;
     } else if (const char *v = value("--replay")) {
@@ -230,7 +226,6 @@ main(int argc, char **argv)
 
     MachineConfig config = machineOf(opts.machine);
     config.noFastpath = opts.noFastpath;
-    config.simThreads = opts.simThreads;
     Machine machine(config, policyOf(opts.policy));
     if (!opts.tracePath.empty() || !opts.traceTextPath.empty()) {
         if (opts.traceCapacity != 0)

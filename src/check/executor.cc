@@ -51,7 +51,6 @@ executorConfig(const Script &script, const ExecOptions &opt)
     cfg.injectSkipLatrSweep = opt.injectSkipLatrSweep;
     cfg.injectMispredictSharers = opt.injectMispredictSharers;
     cfg.noFastpath = opt.noFastpath;
-    cfg.simThreads = opt.simThreads;
     return cfg;
 }
 

@@ -43,14 +43,6 @@ struct ExecOptions
     bool injectMispredictSharers = false;
     /** Force the naive engine paths (MachineConfig::noFastpath). */
     bool noFastpath = false;
-    /**
-     * Parallel-engine threads (MachineConfig::simThreads): 0 keeps
-     * the classic sequential engine, N >= 1 runs the batched engine.
-     * A host-speed knob only — results must be byte-identical — so
-     * the differential harness doubles as the engine's equivalence
-     * oracle.
-     */
-    unsigned simThreads = 0;
 };
 
 /** Outcome of one script run under one policy. */

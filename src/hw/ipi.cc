@@ -19,39 +19,6 @@ IpiFabric::DeliveryEvent::process()
     fabric->runDelivery(this);
 }
 
-bool
-IpiFabric::DeliveryEvent::footprint(EventFootprint &fp) const
-{
-    fp.writeCore(target);
-    // A planning delivery also *reads* its target core: admission
-    // then keeps TLB-touching members from landing ahead of it in
-    // the same batch, so the probe usually survives to its commit.
-    // Not a correctness requirement — the plan is validated against
-    // Tlb::mutationSeq() at apply time either way (DESIGN.md §8.4) —
-    // just what makes the plans worth computing.
-    if (planner)
-        fp.readCore(target);
-    if (space)
-        fp.writeSpace(space);
-    else
-        fp.writeAllSpaces();
-    return true;
-}
-
-void
-IpiFabric::DeliveryEvent::compute()
-{
-    plan.valid = false;
-    if (planner)
-        planner(target, &plan);
-}
-
-unsigned
-IpiFabric::DeliveryEvent::computeWeight() const
-{
-    return planner ? weight : 0;
-}
-
 IpiFabric::DeliveryEvent *
 IpiFabric::acquireDelivery()
 {
@@ -69,13 +36,12 @@ IpiFabric::acquireDelivery()
 void
 IpiFabric::runDelivery(DeliveryEvent *ev)
 {
-    ev->deliver(ev->target, ev->at,
-                ev->plan.valid ? &ev->plan : nullptr);
+    ev->deliver(ev->target, ev->at);
     // The queue released the event before calling process(), so it
-    // can go straight back on the free list. The deliver/planner
-    // closures stay assigned until the next acquire overwrites them;
-    // dropping them here would free (and later reallocate) their
-    // capture storage on every delivery.
+    // can go straight back on the free list. The deliver closure
+    // stays assigned until the next acquire overwrites it; dropping
+    // it here would free (and later reallocate) its capture storage
+    // on every delivery.
     free_.push_back(ev);
 }
 
@@ -83,8 +49,7 @@ IpiBroadcastResult
 IpiFabric::broadcast(CoreId initiator, const CpuMask &targets,
                      Tick start,
                      std::function<Duration(CoreId)> handler_cost,
-                     DeliverFn on_deliver, const void *deliver_space,
-                     PlanFn plan_deliver, unsigned plan_weight)
+                     DeliverFn on_deliver)
 {
     if (start < queue_.now())
         start = queue_.now();
@@ -137,18 +102,10 @@ IpiFabric::broadcast(CoreId initiator, const CpuMask &targets,
         }
 
         if (on_deliver) {
-            // Deliveries declare their footprint (target core + the
-            // shot-down space) so they ride along in parallel
-            // batches; commit order alone serializes the handler's
-            // side effects.
             DeliveryEvent *ev = acquireDelivery();
             ev->target = target;
             ev->at = delivered;
-            ev->space = deliver_space;
-            ev->weight = plan_weight;
             ev->deliver = on_deliver;
-            ev->planner = plan_deliver;
-            ev->plan.valid = false;
             queue_.schedule(ev, delivered);
         }
 

@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "hw/tlb.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 #include "topo/cost_model.hh"
@@ -61,25 +60,8 @@ class IpiFabric
     /** Attach the trace recorder (nullptr to detach). */
     void setTracer(TraceRecorder *trace) { trace_ = trace; }
 
-    /**
-     * Handler side effects, invoked at the handler-start tick. The
-     * third argument is the delivery's precomputed TLB invalidation
-     * plan (nullptr when no planner was supplied or planning was
-     * skipped); the callee validates it against the target TLB's
-     * mutationSeq() and falls back to a fresh invalidation when
-     * stale.
-     */
-    using DeliverFn =
-        std::function<void(CoreId, Tick, const Tlb::InvalidationPlan *)>;
-
-    /**
-     * Optional read-only speculation for one delivery: probe the
-     * target's TLB and fill the plan. Runs in the delivery event's
-     * compute() phase — possibly on a worker thread, concurrently
-     * with other deliveries' planners — so it must only call const
-     * members of shared state.
-     */
-    using PlanFn = std::function<void(CoreId, Tlb::InvalidationPlan *)>;
+    /** Handler side effects, invoked at the handler-start tick. */
+    using DeliverFn = std::function<void(CoreId, Tick)>;
 
     /**
      * Broadcast an IPI from @p initiator to every core in
@@ -94,27 +76,13 @@ class IpiFabric
      * @param on_deliver side effects to apply when the interrupt is
      *        handled on a target (TLB invalidation, stolen-time
      *        charging); invoked at the handler-start tick.
-     * @param deliver_space identity of the address space
-     *        @p on_deliver mutates, for the delivery events'
-     *        conflict footprints. Each delivery declares a write of
-     *        the target core plus this space; nullptr (unknown)
-     *        widens the declaration to every space — still
-     *        batchable, just a coarser write set.
-     * @param plan_deliver when non-null, each delivery event grows a
-     *        compute() phase calling this to pre-probe the target's
-     *        TLB, and declares a *read* of the target core so batch
-     *        admission keeps TLB-touching members from preceding it.
-     * @param plan_weight computeWeight() reported per planning
-     *        delivery; at least two heavy computes make a batch
-     *        eligible for worker offload.
      * @return completion information, including the tick the last
      *         ACK arrives (the initiator blocks until then).
      */
     IpiBroadcastResult broadcast(
         CoreId initiator, const CpuMask &targets, Tick start,
         std::function<Duration(CoreId)> handler_cost,
-        DeliverFn on_deliver, const void *deliver_space = nullptr,
-        PlanFn plan_deliver = nullptr, unsigned plan_weight = 0);
+        DeliverFn on_deliver);
 
     /// @name Stats
     /// @{
@@ -129,22 +97,13 @@ class IpiFabric
   private:
     /**
      * One in-flight interrupt delivery, pooled by the fabric
-     * (acquire at broadcast, recycle after the handler commits).
-     * Replaces the scheduleLambda deliveries so a delivery can carry
-     * a compute() phase: the planner probes the target TLB read-only
-     * on a worker thread, and the commit hands the plan to
-     * on_deliver, which validates it against Tlb::mutationSeq() —
-     * the precise-validator discipline of DESIGN.md §8.4. The plan's
-     * vectors (and this event) are reused delivery to delivery, so
-     * sustained IPI fallback storms allocate nothing.
+     * (acquire at broadcast, recycle after the handler runs), so
+     * sustained IPI fallback storms allocate no events.
      */
     class DeliveryEvent final : public Event
     {
       public:
         void process() override;
-        bool footprint(EventFootprint &fp) const override;
-        void compute() override;
-        unsigned computeWeight() const override;
         const char *name() const override { return "ipi-delivery"; }
 
       private:
@@ -154,11 +113,7 @@ class IpiFabric
         CoreId target = 0;
         /** Handler-start tick (on_deliver's Tick argument). */
         Tick at = 0;
-        const void *space = nullptr;
-        unsigned weight = 0;
         DeliverFn deliver;
-        PlanFn planner;
-        Tlb::InvalidationPlan plan;
     };
 
     /** Pop a recycled delivery event or grow the pool. */

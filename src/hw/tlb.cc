@@ -218,9 +218,6 @@ TlbResult
 Tlb::lookup(Vpn vpn, Pcid pcid, Pfn *pfn_out, bool *writable_out,
             bool *huge_out)
 {
-    // Even a hit mutates: LRU chains reorder and L2 hits promote, so
-    // any probed invalidation plan over this TLB is now stale.
-    ++mutationSeq_;
     if (huge_out)
         *huge_out = false;
     // The 2 MiB array covers whole regions; it wins when populated.
@@ -314,7 +311,6 @@ Tlb::probeHugePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
 void
 Tlb::insertHuge(Vpn base_vpn, Pfn base_pfn, Pcid pcid, bool writable)
 {
-    ++mutationSeq_;
     Key k{hugeBaseOf(base_vpn), pcid};
     Entry old;
     bool existed = huge_.remove(k, &old);
@@ -335,7 +331,6 @@ Tlb::insertHuge(Vpn base_vpn, Pfn base_pfn, Pcid pcid, bool writable)
 void
 Tlb::insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable)
 {
-    ++mutationSeq_;
     Key k{vpn, pcid};
     // Collapse any existing copy first so the listener sees a remap
     // as remove(old frame) + insert(new frame). A permission-only
@@ -364,7 +359,6 @@ Tlb::insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable)
 void
 Tlb::invalidatePage(Vpn vpn, Pcid pcid)
 {
-    ++mutationSeq_;
     Key k{vpn, pcid};
     Entry removed;
     if (l1_.remove(k, &removed))
@@ -408,7 +402,6 @@ Tlb::invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
 void
 Tlb::invalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid)
 {
-    ++mutationSeq_;
     if (trace_)
         trace_->instantNow("hw", "tlb.inv_range", core_, kTraceNoMm,
                            end_vpn - start_vpn + 1);
@@ -439,91 +432,8 @@ Tlb::invalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid)
 }
 
 void
-Tlb::planRangeIn(const Level &level, std::uint8_t level_idx,
-                 Vpn start_vpn, Vpn end_vpn, Pcid pcid,
-                 InvalidationPlan *plan) const
-{
-    // Mirror invalidateRangeIn()'s adaptive branch: with the seq
-    // unchanged at apply time, level.size() is unchanged too, so the
-    // branch the fresh operation would take is the one probed here.
-    const std::uint64_t span = end_vpn - start_vpn + 1;
-    if (span != 0 && span < level.size()) {
-        for (Vpn v = start_vpn;; ++v) {
-            if (level.peek(Key{v, pcid}))
-                plan->removals.push_back({level_idx, v});
-            if (v == end_vpn)
-                break;
-        }
-    } else {
-        // removeMatching() walks MRU to LRU capturing each next link
-        // before erasing, so an unmodified chain yields removals in
-        // exactly forEach() order.
-        level.forEach([&](const Entry &e) {
-            if (e.key.pcid == pcid && e.key.vpn >= start_vpn &&
-                e.key.vpn <= end_vpn)
-                plan->removals.push_back({level_idx, e.key.vpn});
-        });
-    }
-}
-
-void
-Tlb::planInvalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid,
-                         InvalidationPlan *plan) const
-{
-    plan->valid = false;
-    plan->seq = mutationSeq_;
-    plan->startVpn = start_vpn;
-    plan->endVpn = end_vpn;
-    plan->pcid = pcid;
-    plan->removals.clear();
-    planRangeIn(l1_, 0, start_vpn, end_vpn, pcid, plan);
-    planRangeIn(l2_, 1, start_vpn, end_vpn, pcid, plan);
-    const Vpn hb_start = hugeBaseOf(start_vpn);
-    const Vpn hb_end = hugeBaseOf(end_vpn);
-    const std::uint64_t bases = (hb_end - hb_start) / kHugePageSpan + 1;
-    if (bases < huge_.size()) {
-        for (Vpn b = hb_start;; b += kHugePageSpan) {
-            if (huge_.peek(Key{b, pcid}))
-                plan->removals.push_back({2, b});
-            if (b == hb_end)
-                break;
-        }
-    } else {
-        huge_.forEach([&](const Entry &e) {
-            if (e.key.pcid == pcid && e.key.vpn <= end_vpn &&
-                e.key.vpn + kHugePageSpan - 1 >= start_vpn)
-                plan->removals.push_back({2, e.key.vpn});
-        });
-    }
-    plan->valid = true;
-}
-
-bool
-Tlb::applyInvalidationPlan(const InvalidationPlan &plan)
-{
-    if (!plan.valid || plan.seq != mutationSeq_)
-        return false;
-    ++mutationSeq_;
-    if (trace_)
-        trace_->instantNow("hw", "tlb.inv_range", core_, kTraceNoMm,
-                           plan.endVpn - plan.startVpn + 1);
-    // With the seq fresh, every planned key is still present and the
-    // removal order equals the fresh operation's — replaying by key
-    // reproduces the same eraseSlot sequence, hence identical chain,
-    // table, and free-list evolution and identical listener traffic.
-    Entry removed;
-    for (const InvalidationPlan::Removal &r : plan.removals) {
-        Level &level = r.level == 0 ? l1_ : r.level == 1 ? l2_ : huge_;
-        if (level.remove(Key{r.vpn, plan.pcid}, &removed))
-            notifyRemove(removed);
-    }
-    return true;
-}
-
-void
 Tlb::invalidatePcid(Pcid pcid)
 {
-    ++mutationSeq_;
     if (trace_)
         trace_->instantNow("hw", "tlb.inv_pcid", core_, kTraceNoMm,
                            pcid);
@@ -537,7 +447,6 @@ Tlb::invalidatePcid(Pcid pcid)
 void
 Tlb::flushAll()
 {
-    ++mutationSeq_;
     ++flushes_;
     if (trace_)
         trace_->instantNow("hw", "tlb.flush_all", core_, kTraceNoMm,

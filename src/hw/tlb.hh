@@ -131,59 +131,6 @@ class Tlb
      */
     bool probeHugePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const;
 
-    /**
-     * A precomputed invalidateRange(): the ordered list of entries
-     * the range operation would remove, probed read-only (no LRU
-     * side effects) so it can run on a worker thread before the
-     * owning event commits. Valid only while mutationSeq() is
-     * unchanged — any TLB mutation (including LRU reordering by a
-     * lookup) may change the removal set or its order. The vectors
-     * are reused plan to plan, so steady state allocates nothing.
-     */
-    struct InvalidationPlan
-    {
-        bool valid = false;
-        /** mutationSeq() snapshot the plan was probed under. */
-        std::uint64_t seq = 0;
-        Vpn startVpn = 0;
-        Vpn endVpn = 0;
-        Pcid pcid = 0;
-        /** One planned removal; level 0 = L1, 1 = L2, 2 = huge. */
-        struct Removal
-        {
-            std::uint8_t level;
-            Vpn vpn;
-        };
-        /** Removals in exactly invalidateRange()'s order. */
-        std::vector<Removal> removals;
-    };
-
-    /**
-     * Fill @p plan with what invalidateRange(start, end, pcid) would
-     * remove right now, in the exact order it would remove them.
-     * Read-only: touches no LRU state, fires no listeners. Safe to
-     * call concurrently with other const members.
-     */
-    void planInvalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid,
-                             InvalidationPlan *plan) const;
-
-    /**
-     * Replay @p plan if it is still fresh (its seq matches
-     * mutationSeq()): identical removals, listener notifications,
-     * and trace records as the invalidateRange() it precomputed.
-     * @return false (and do nothing) when the plan is stale — the
-     *         caller falls back to a fresh invalidateRange().
-     */
-    bool applyInvalidationPlan(const InvalidationPlan &plan);
-
-    /**
-     * Monotone counter advanced by every mutating operation —
-     * including lookups, which reorder LRU chains and promote
-     * between levels. An InvalidationPlan probed at seq S replays
-     * exactly iff mutationSeq() is still S.
-     */
-    std::uint64_t mutationSeq() const { return mutationSeq_; }
-
     /** Install a translation (after a page walk). */
     void insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable = true);
 
@@ -377,11 +324,6 @@ class Tlb
     void invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
                            Pcid pcid);
 
-    /** planInvalidateRange over one 4 KiB level, probe or scan. */
-    void planRangeIn(const Level &level, std::uint8_t level_idx,
-                     Vpn start_vpn, Vpn end_vpn, Pcid pcid,
-                     InvalidationPlan *plan) const;
-
     CoreId core_;
     Level l1_;
     Level l2_;
@@ -393,7 +335,6 @@ class Tlb
     std::uint64_t l2Hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t flushes_ = 0;
-    std::uint64_t mutationSeq_ = 0;
 };
 
 } // namespace latr

@@ -12,12 +12,6 @@ Machine::Machine(MachineConfig config, PolicyKind policy_kind,
       sched_(queue_, topo_, config_),
       kernel_(queue_, topo_, config_, frames_, sched_, stats_)
 {
-    if (config_.simThreads > 0) {
-        exec_ = std::make_unique<ParallelExecutor>(
-            config_.simThreads, config_.pinSimThreads);
-        queue_.setParallelExecutor(exec_.get());
-    }
-
     trace_.attachClock(&queue_);
     kernel_.setTracer(&trace_);
     sched_.setTracer(&trace_);

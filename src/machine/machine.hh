@@ -20,7 +20,6 @@
 #include "os/kernel.hh"
 #include "os/scheduler.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_exec.hh"
 #include "sim/stats.hh"
 #include "tlbcoh/invariant.hh"
 #include "tlbcoh/policy.hh"
@@ -68,8 +67,6 @@ class Machine
     InvariantChecker *checker() { return checker_.get(); }
     /** nullptr until installStalenessOracle(). */
     StalenessOracle *staleness() { return staleness_.get(); }
-    /** nullptr unless config.simThreads > 0. */
-    ParallelExecutor *parallelExecutor() { return exec_.get(); }
     /// @}
 
     /**
@@ -99,7 +96,6 @@ class Machine
     MachineConfig config_;
     NumaTopology topo_;
     EventQueue queue_;
-    std::unique_ptr<ParallelExecutor> exec_;
     StatRegistry stats_;
     TraceRecorder trace_;
     FrameAllocator frames_;

@@ -296,41 +296,6 @@ Scheduler::tickCore(CoreId core)
 }
 
 void
-Scheduler::tickFootprintFor(CoreId core, EventFootprint &fp) const
-{
-    fp.writeCore(core);
-    const CoreState &cs = cores_[core];
-    // Space writes cover the TLB-entry and residency-mask mutations
-    // a tick's sweep or context switch can make. The switch path may
-    // also drop stale residents not on the runqueue anymore; no
-    // compute today reads residency, so the runqueue cover suffices
-    // (a future space-reading compute must widen this).
-    for (const Task *t : cs.runqueue)
-        fp.writeSpace(&t->mm());
-    if (policy_)
-        policy_->addTickFootprint(core, fp);
-}
-
-void
-Scheduler::planTickFor(CoreId core, Tick tick)
-{
-    const CoreState &cs = cores_[core];
-    if (cs.runqueue.empty() && config_.ticklessIdle)
-        return; // tickCore() will skip this core entirely
-    if (policy_)
-        policy_->planSchedulerTick(core, tick);
-}
-
-unsigned
-Scheduler::tickPlanWeight(CoreId core) const
-{
-    const CoreState &cs = cores_[core];
-    if (cs.runqueue.empty() && config_.ticklessIdle)
-        return 0;
-    return policy_ && policy_->tickPlanIsHeavy(core) ? 1 : 0;
-}
-
-void
 Scheduler::tick(CoreId core)
 {
     tickCore(core);

@@ -120,21 +120,6 @@ class Scheduler : public CoreService
 
         void process() override { sched_->tick(core_); }
 
-        bool
-        footprint(EventFootprint &fp) const override
-        {
-            sched_->tickFootprintFor(core_, fp);
-            return true;
-        }
-
-        void compute() override { sched_->planTickFor(core_, when()); }
-
-        unsigned
-        computeWeight() const override
-        {
-            return sched_->tickPlanWeight(core_);
-        }
-
         const char *name() const override { return "sched-tick"; }
 
       private:
@@ -159,30 +144,6 @@ class Scheduler : public CoreService
 
         void process() override { sched_->wheelTick(slot_); }
 
-        bool
-        footprint(EventFootprint &fp) const override
-        {
-            for (CoreId core : sched_->wheel_[slot_].cores)
-                sched_->tickFootprintFor(core, fp);
-            return true;
-        }
-
-        void
-        compute() override
-        {
-            for (CoreId core : sched_->wheel_[slot_].cores)
-                sched_->planTickFor(core, when());
-        }
-
-        unsigned
-        computeWeight() const override
-        {
-            unsigned weight = 0;
-            for (CoreId core : sched_->wheel_[slot_].cores)
-                weight += sched_->tickPlanWeight(core);
-            return weight;
-        }
-
         const char *name() const override { return "sched-tick"; }
 
       private:
@@ -202,28 +163,6 @@ class Scheduler : public CoreService
 
     /** One core's tick body, sans rescheduling. */
     void tickCore(CoreId core);
-
-    /// @name Parallel engine (tick events delegate here)
-    /// @{
-
-    /**
-     * Declare what @p core's tick may touch: the core itself (stolen
-     * time, TLB, context switch), the address spaces of its runqueue
-     * tasks (residency masks, TLB entries), and whatever the policy
-     * adds (LATR reads the publication state for its sweep plan).
-     * Runqueues are event-loop-invariant — only driver-side syscalls
-     * and undeclared barrier events mutate them — so reading them
-     * here and in tick computes needs no declaration.
-     */
-    void tickFootprintFor(CoreId core, EventFootprint &fp) const;
-
-    /** Speculative half of tickCore(): plan the policy's sweep. */
-    void planTickFor(CoreId core, Tick tick);
-
-    /** Nonzero when planTickFor(@p core) does nontrivial work. */
-    unsigned tickPlanWeight(CoreId core) const;
-
-    /// @}
 
     /** Flush @p core's TLB and drop it from every residency mask. */
     void flushCore(CoreState &cs);

@@ -62,8 +62,8 @@ class LatencyHistogram
     /**
      * FNV-1a digest over the bucket counts and the exact moments —
      * two histograms digest equal iff they recorded the same
-     * multiset of (quantized) values. The record/replay and
-     * parallel-engine equivalence tests compare these.
+     * multiset of (quantized) values. The record/replay tests
+     * compare these.
      */
     std::uint64_t digest() const;
 

@@ -130,8 +130,6 @@ class OpenLoopServer
     Duration serveActive(unsigned w);
     void complete(unsigned w);
     bool drained() const;
-    EventFootprint completionFootprint(unsigned w) const;
-    EventFootprint feederFootprint() const;
 
     Machine &machine_;
     const Latrace &trace_;
@@ -146,50 +144,6 @@ class OpenLoopServer
     std::vector<TenantSlot> tenants_;
     ServeResult result_;
 };
-
-/**
- * Footprint of one completion event (or its stolen-time
- * postponement). A pure-write declaration: the lambda carries no
- * compute() phase, so no reads are declared and the event is always
- * admissible — write/write overlap between declared batch members is
- * harmless because commits replay in (tick, seq) order. The write
- * cover must include everything the commit mutates: the worker's
- * core (context switch, TLB inserts, stolen-time drain), any tenant
- * address space (startNext() pops whichever request is queued by
- * commit time, so the mm is unknowable at schedule time — hence
- * all-spaces), the frame allocator (minor faults, munmap frees), and
- * the LATR publish state (munmap publishes a lazy-shootdown state or
- * takes the fallback path; either way tick sweep plans must die).
- */
-EventFootprint
-OpenLoopServer::completionFootprint(unsigned w) const
-{
-    EventFootprint fp;
-    fp.writeCore(workerState_[w].core);
-    fp.writeAllSpaces();
-    fp.writeGlobal(SimResource::FrameAllocator);
-    fp.writeGlobal(SimResource::LatrPublish);
-    return fp;
-}
-
-/**
- * Footprint of one feeder pump. A pump applies every trace record up
- * to its tick: requests may start service on any idle worker
- * (serveActive() = the completion cover above), and churn records
- * tear down / respawn tenants touching every worker core. So the
- * cover is the completion cover widened to all worker cores.
- */
-EventFootprint
-OpenLoopServer::feederFootprint() const
-{
-    EventFootprint fp;
-    for (const Worker &wk : workerState_)
-        fp.writeCore(wk.core);
-    fp.writeAllSpaces();
-    fp.writeGlobal(SimResource::FrameAllocator);
-    fp.writeGlobal(SimResource::LatrPublish);
-    return fp;
-}
 
 void
 OpenLoopServer::spawnTenant(std::uint32_t slot)
@@ -273,7 +227,6 @@ OpenLoopServer::pumpFeeder()
         applyRecord(trace_.records[cursor_++]);
     if (cursor_ < trace_.records.size()) {
         queue.scheduleLambda(trace_.records[cursor_].tick,
-                             feederFootprint(),
                              [this] { pumpFeeder(); });
     } else {
         feederDone_ = true;
@@ -296,7 +249,6 @@ OpenLoopServer::startNext(unsigned w)
         wk.active = req;
         const Duration d = serveActive(w);
         machine_.queue().scheduleLambda(machine_.now() + d,
-                                        completionFootprint(w),
                                         [this, w] { complete(w); });
         return;
     }
@@ -352,7 +304,6 @@ OpenLoopServer::complete(unsigned w)
     const Duration stolen = machine_.scheduler().takeStolen(wk.core);
     if (stolen > 0) {
         machine_.queue().scheduleLambda(machine_.now() + stolen,
-                                        completionFootprint(w),
                                         [this, w] { complete(w); });
         return;
     }
@@ -396,7 +347,7 @@ OpenLoopServer::run()
     else
         machine_.queue().scheduleLambda(
             std::max(trace_.records.front().tick, machine_.now()),
-            feederFootprint(), [this] { pumpFeeder(); });
+            [this] { pumpFeeder(); });
 
     const Duration horizon =
         trace_.durationTicks ? trace_.durationTicks : kDrainSlice;

@@ -18,9 +18,8 @@
  * ServeConfig into a .latrace op stream (latrace.hh), and
  * runServeTrace() feeds any such stream — freshly generated or loaded
  * from disk — through the kernel deterministically. Same trace, same
- * machine, same policy => byte-identical results at every
- * --sim-threads count, so recordings are shareable and diffable
- * across PRs and policies.
+ * machine, same policy => byte-identical results, so recordings are
+ * shareable and diffable across PRs and policies.
  */
 
 #ifndef LATR_SERVE_SERVE_HH_
@@ -125,8 +124,8 @@ struct ServeResult
     /**
      * Digest over the latency histogram, the request counts, and the
      * machine's full stat registry: byte-identical runs (same trace,
-     * policy, and machine — any --sim-threads) digest equal. The
-     * record/replay and parallel-engine tests compare these.
+     * policy, and machine) digest equal. The record/replay tests
+     * compare these.
      */
     std::uint64_t digest = 0;
 

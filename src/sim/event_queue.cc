@@ -1,14 +1,13 @@
 #include "sim/event_queue.hh"
 
 #include "sim/logging.hh"
-#include "sim/parallel_exec.hh"
 
 namespace latr
 {
 
 namespace
 {
-/** Lambda wrappers kept for reuse per lane; beyond, deleted. */
+/** Lambda wrappers kept for reuse; beyond, deleted. */
 constexpr std::size_t kLambdaPoolCap = 1024;
 } // namespace
 
@@ -24,44 +23,8 @@ EventQueue::~EventQueue()
         slot.event->scheduled_ = false;
         delete slot.event;
     }
-    for (const auto &pool : lambdaPools_)
-        for (LambdaEvent *ev : pool)
-            delete ev;
-}
-
-void
-EventQueue::setParallelExecutor(ParallelExecutor *exec)
-{
-    exec_ = exec;
-    const std::size_t lanes = exec_ ? exec_->threads() : 1;
-    if (lanes >= lambdaPools_.size()) {
-        lambdaPools_.resize(lanes);
-        return;
-    }
-    // Shrinking (executor detached): fold the dying lanes' wrappers
-    // into lane 0 up to its cap rather than losing the warm pool.
-    for (std::size_t lane = lanes; lane < lambdaPools_.size(); ++lane) {
-        for (LambdaEvent *ev : lambdaPools_[lane]) {
-            if (lambdaPools_[0].size() < kLambdaPoolCap)
-                lambdaPools_[0].push_back(ev);
-            else
-                delete ev;
-        }
-    }
-    lambdaPools_.resize(lanes);
-}
-
-EventQueue::LambdaEvent *
-EventQueue::acquireLambda()
-{
-    for (auto &pool : lambdaPools_) {
-        if (pool.empty())
-            continue;
-        LambdaEvent *ev = pool.back();
-        pool.pop_back();
-        return ev;
-    }
-    return nullptr;
+    for (LambdaEvent *ev : lambdaPool_)
+        delete ev;
 }
 
 std::uint32_t
@@ -132,10 +95,11 @@ EventQueue::deschedule(Event *event)
 void
 EventQueue::scheduleLambda(Tick when, std::function<void()> fn)
 {
-    LambdaEvent *ev = acquireLambda();
-    if (ev) {
+    LambdaEvent *ev;
+    if (!lambdaPool_.empty()) {
+        ev = lambdaPool_.back();
+        lambdaPool_.pop_back();
         ev->fn_ = std::move(fn);
-        ev->hasFp_ = false;
     } else {
         ev = new LambdaEvent(std::move(fn));
         ev->autoDelete_ = true;
@@ -144,30 +108,13 @@ EventQueue::scheduleLambda(Tick when, std::function<void()> fn)
 }
 
 void
-EventQueue::scheduleLambda(Tick when, const EventFootprint &fp,
-                           std::function<void()> fn)
-{
-    LambdaEvent *ev = acquireLambda();
-    if (ev) {
-        ev->fn_ = std::move(fn);
-    } else {
-        ev = new LambdaEvent(std::move(fn));
-        ev->autoDelete_ = true;
-    }
-    ev->fp_ = fp;
-    ev->hasFp_ = true;
-    schedule(ev, when);
-}
-
-void
-EventQueue::recycleLambda(LambdaEvent *ev, unsigned lane)
+EventQueue::recycleLambda(LambdaEvent *ev)
 {
     // Drop the captured state now — it may hold resources whose
     // owners expect release as soon as the callback has run.
     ev->fn_ = nullptr;
-    auto &pool = lambdaPools_[lane < lambdaPools_.size() ? lane : 0];
-    if (pool.size() < kLambdaPoolCap)
-        pool.push_back(ev);
+    if (lambdaPool_.size() < kLambdaPoolCap)
+        lambdaPool_.push_back(ev);
     else
         delete ev;
 }
@@ -198,14 +145,12 @@ EventQueue::dispatchTop()
     ++executed_;
     ev->process();
     if (owned)
-        recycleLambda(static_cast<LambdaEvent *>(ev), 0);
+        recycleLambda(static_cast<LambdaEvent *>(ev));
 }
 
 std::uint64_t
 EventQueue::run(Tick limit)
 {
-    if (exec_)
-        return runBatched(limit); // src/sim/parallel_exec.cc
     std::uint64_t executed = 0;
     for (;;) {
         popStale();

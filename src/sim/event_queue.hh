@@ -12,16 +12,6 @@
  * array (no hash map, and stale entries never dereference the event,
  * whose owner may already have destroyed it), and the lambda wrappers
  * scheduleLambda() hands out are recycled through a free-list pool.
- *
- * With a ParallelExecutor attached (MachineConfig::simThreads > 0)
- * the queue runs the optimistic batched engine: ready events that
- * declare a conflict footprint are pulled into a batch, their
- * read-only compute() phases run concurrently on a worker pool, and
- * their process() commits replay in exact (tick, seq) order on the
- * coordinating thread — so every simulated side effect, counter, and
- * trace record is byte-identical to the sequential engine. Events
- * without a footprint are barriers executed inline, sequentially.
- * See src/sim/parallel_exec.{hh,cc} for the batch dispatcher.
  */
 
 #ifndef LATR_SIM_EVENT_QUEUE_HH_
@@ -38,141 +28,6 @@
 namespace latr
 {
 
-class ConflictTracker;
-class EventQueue;
-class ParallelExecutor;
-
-/**
- * Named global simulation resources for conflict footprints: shared
- * state that is neither a core nor an address space. Coarse on
- * purpose — a false overlap only costs a batch break, never
- * correctness.
- */
-enum class SimResource : unsigned
-{
-    /**
-     * Publication and retirement of LATR states: the active set, the
-     * per-core rings, and the sweep-elision mask. Events whose
-     * compute() reads this state declare a read; events whose commit
-     * may publish, reclaim, or otherwise restructure it declare a
-     * write. Sweep retirements (mask-bit clears, deactivation,
-     * compaction) are exempt from the write declaration: they are
-     * plan-preserving by construction (see DESIGN.md §8).
-     */
-    LatrPublish = 0,
-    /** The frame allocator's free lists (page release/grab). */
-    FrameAllocator,
-    /**
-     * Sharer-directory plans (ABIS access-bit harvests). Deliberately
-     * a *no-writer* resource: no event declares a write, so its epoch
-     * advances only on the blanket bumps — undeclared barriers,
-     * interlopers writing into a batch's read union, and run() entry.
-     * An event that (a) declares a read of the address space whose
-     * sharer sets its compute() harvests — keeping same-batch writers
-     * of that mm from preceding it — and (b) validates the harvest
-     * against this epoch at commit therefore sees every mutation path
-     * invalidate its plan, without paying per-resource bumps from
-     * unrelated declared commits (DESIGN.md §8.4).
-     */
-    SharerDirectory,
-    Count,
-};
-
-/** Number of distinct SimResource values. */
-constexpr unsigned kNumSimResources =
-    static_cast<unsigned>(SimResource::Count);
-
-/**
- * The conflict footprint of one event: the cores, address spaces,
- * and global resources its compute() phase reads and its process()
- * commit may write. The batch dispatcher admits an event to the open
- * batch only if the accumulated write set of earlier batch members
- * does not intersect the event's read set — the one hazard the
- * all-computes-then-ordered-commits protocol leaves open. Write/write
- * overlap is harmless (commits are serialized in (tick, seq) order)
- * and so is read/read.
- *
- * Address spaces are identified by pointer; more than kMaxSpaces
- * distinct spaces on one side widens that side to "all spaces",
- * which is always sound.
- */
-class EventFootprint
-{
-  public:
-    static constexpr unsigned kMaxSpaces = 4;
-
-    void
-    clear()
-    {
-        coresRead_.reset();
-        coresWritten_.reset();
-        globalsRead_ = 0;
-        globalsWritten_ = 0;
-        nSpaces_[0] = nSpaces_[1] = 0;
-        allSpaces_[0] = allSpaces_[1] = false;
-    }
-
-    void readCore(CoreId core) { coresRead_.set(core); }
-    void writeCore(CoreId core) { coresWritten_.set(core); }
-
-    void readSpace(const void *mm) { addSpace(0, mm); }
-    void writeSpace(const void *mm) { addSpace(1, mm); }
-
-    /** Declare reads (writes) of every address space. */
-    void readAllSpaces() { allSpaces_[0] = true; }
-    void writeAllSpaces() { allSpaces_[1] = true; }
-
-    void
-    readGlobal(SimResource r)
-    {
-        globalsRead_ |= 1u << static_cast<unsigned>(r);
-    }
-
-    void
-    writeGlobal(SimResource r)
-    {
-        globalsWritten_ |= 1u << static_cast<unsigned>(r);
-    }
-
-    /// @name Dispatcher queries
-    /// @{
-    const CpuMask &coresRead() const { return coresRead_; }
-    const CpuMask &coresWritten() const { return coresWritten_; }
-    std::uint32_t globalsRead() const { return globalsRead_; }
-    std::uint32_t globalsWritten() const { return globalsWritten_; }
-    bool allSpacesRead() const { return allSpaces_[0]; }
-    bool allSpacesWritten() const { return allSpaces_[1]; }
-    unsigned spacesRead() const { return nSpaces_[0]; }
-    unsigned spacesWritten() const { return nSpaces_[1]; }
-    const void *spaceRead(unsigned i) const { return spaces_[0][i]; }
-    const void *spaceWritten(unsigned i) const { return spaces_[1][i]; }
-    /// @}
-
-  private:
-    void
-    addSpace(unsigned side, const void *mm)
-    {
-        if (allSpaces_[side])
-            return;
-        for (unsigned i = 0; i < nSpaces_[side]; ++i)
-            if (spaces_[side][i] == mm)
-                return;
-        if (nSpaces_[side] == kMaxSpaces) {
-            allSpaces_[side] = true;
-            return;
-        }
-        spaces_[side][nSpaces_[side]++] = mm;
-    }
-
-    CpuMask coresRead_;
-    CpuMask coresWritten_;
-    std::uint32_t globalsRead_ = 0;
-    std::uint32_t globalsWritten_ = 0;
-    const void *spaces_[2][kMaxSpaces] = {};
-    unsigned nSpaces_[2] = {0, 0};
-    bool allSpaces_[2] = {false, false};
-};
-
 /**
  * A schedulable unit of work. Subclass and implement process(), or use
  * scheduleLambda() for one-off callbacks. Events do not own
@@ -186,52 +41,6 @@ class Event
 
     /** Execute the event; called by the queue at the scheduled tick. */
     virtual void process() = 0;
-
-    /**
-     * Declare this event's conflict footprint into @p fp and return
-     * true, or return false to stay undeclared. Undeclared events
-     * are barriers under the batched engine: executed inline,
-     * sequentially, with every cached plan invalidated — always
-     * correct, never fast. Called by the dispatcher at batch
-     * formation, so the declaration may consult current simulation
-     * state; it must cover everything process() mutates that another
-     * event's compute() might read.
-     */
-    virtual bool footprint(EventFootprint &fp) const
-    {
-        (void)fp;
-        return false;
-    }
-
-    /**
-     * Optional read-only speculation phase, run before the commit —
-     * possibly on a worker thread, concurrently with other batch
-     * members' compute(). It may read any state its footprint
-     * declares as read and write only event-local or per-core
-     * plan scratch. process() must not depend on compute() having
-     * run: a plan is an acceleration the commit validates and may
-     * discard (the sequential engine never calls compute() at all).
-     *
-     * Any plan carried from compute() to process() MUST be validated
-     * at commit time against the EventQueue::resourceEpoch() of an
-     * epoch-tracked SimResource the footprint declares read, and
-     * discarded on mismatch. Core and address-space reads gate batch
-     * admission but carry no epoch of their own; the queue instead
-     * advances *every* resource epoch whenever a commit-phase
-     * interloper writes state the batch declared read, so an
-     * epoch-checked plan can never survive such a write — but a plan
-     * validated any other way (or derived from undeclared state)
-     * could, silently. See DESIGN.md §8.3.
-     */
-    virtual void compute() {}
-
-    /**
-     * Rough cost of compute() (0 = trivial). The dispatcher offloads
-     * a batch to the worker pool only when at least two members
-     * report nonzero weight; batches of trivial computes run inline
-     * to skip the wakeup latency.
-     */
-    virtual unsigned computeWeight() const { return 0; }
 
     /** Human-readable name for tracing. */
     virtual const char *name() const { return "event"; }
@@ -296,15 +105,6 @@ class EventQueue
      */
     void scheduleLambda(Tick when, std::function<void()> fn);
 
-    /**
-     * Like scheduleLambda(), but with a declared conflict footprint
-     * so the callback can ride along in parallel batches instead of
-     * acting as a barrier. The footprint must cover everything the
-     * callback mutates that another event's compute() might read.
-     */
-    void scheduleLambda(Tick when, const EventFootprint &fp,
-                        std::function<void()> fn);
-
     /** Number of live (non-stale) events currently scheduled. */
     std::size_t pending() const { return livePending_; }
 
@@ -325,46 +125,6 @@ class EventQueue
     /** Execute exactly one event if any is pending. @return true if so. */
     bool step();
 
-    /// @name Batched parallel engine
-    /// @{
-
-    /**
-     * Attach (or with nullptr detach) the compute worker pool. While
-     * attached, run() uses the optimistic batched dispatcher; step()
-     * stays sequential. The executor is borrowed, not owned. The
-     * lambda freelist splits into one pool per compute lane (see
-     * recycleLambda()); detaching folds the lanes back into one.
-     */
-    void setParallelExecutor(ParallelExecutor *exec);
-
-    ParallelExecutor *parallelExecutor() const { return exec_; }
-
-    /** Lambda freelist lanes (1 without an executor). For tests. */
-    unsigned lambdaLanes() const
-    {
-        return static_cast<unsigned>(lambdaPools_.size());
-    }
-
-    /** Pooled wrappers parked on @p lane's freelist. For tests. */
-    std::size_t lambdaPoolSize(unsigned lane) const
-    {
-        return lambdaPools_.at(lane).size();
-    }
-
-    /**
-     * Monotone epoch of @p r, advanced whenever an event that may
-     * write @p r commits (undeclared events and run() entry advance
-     * every epoch). Plans computed under an older epoch are stale;
-     * consumers must fall back to a fresh evaluation.
-     */
-    std::uint64_t
-    resourceEpoch(SimResource r) const
-    {
-        return resourceEpoch_[static_cast<unsigned>(r)];
-    }
-
-    /// @}
-
   private:
     /** A lambda-wrapping event owned (and pooled) by the queue. */
     class LambdaEvent : public Event
@@ -376,23 +136,12 @@ class EventQueue
 
         void process() override { fn_(); }
 
-        bool
-        footprint(EventFootprint &fp) const override
-        {
-            if (!hasFp_)
-                return false;
-            fp = fp_;
-            return true;
-        }
-
         const char *name() const override { return "lambda"; }
 
       private:
         friend class EventQueue;
 
         std::function<void()> fn_;
-        EventFootprint fp_;
-        bool hasFp_ = false;
     };
 
     struct Entry
@@ -437,25 +186,8 @@ class EventQueue
     /** Release @p slot, aging its generation. */
     void releaseSlot(std::uint32_t slot);
 
-    /**
-     * Pop a pooled wrapper, or nullptr when every lane is empty.
-     * Local-acquire: the committing coordinator allocates, so its own
-     * lane (0) is tried first and the worker lanes are only stolen
-     * from when it runs dry.
-     */
-    LambdaEvent *acquireLambda();
-
-    /**
-     * Return a finished lambda wrapper to @p lane's freelist.
-     * Remote-release, the other half of the NUMA event-pool
-     * discipline: a wrapper whose compute() ran on a worker lane goes
-     * back to that lane's pool, so with pinned workers each lane's
-     * wrappers cycle through one cache/NUMA domain instead of all
-     * lanes funnelling through a single LIFO stack. @p lane is the
-     * executor's computing lane for batch members, 0 for sequential
-     * and barrier dispatches.
-     */
-    void recycleLambda(LambdaEvent *ev, unsigned lane);
+    /** Return a finished lambda wrapper to the pool. */
+    void recycleLambda(LambdaEvent *ev);
 
     /** Drop heap entries whose event was descheduled or rescheduled. */
     void popStale();
@@ -463,66 +195,15 @@ class EventQueue
     /** Run the event at the top of the heap (caller checked liveness). */
     void dispatchTop();
 
-    /// @name Batched dispatcher internals (src/sim/parallel_exec.cc)
-    /// @{
-
-    /** One admitted batch member, pinned in (tick, seq) order. */
-    struct BatchMember
-    {
-        Entry entry;
-        Event *event;
-        /** SimResource bits whose epoch the commit advances. */
-        std::uint32_t writtenGlobals;
-    };
-
-    /** The batched run loop (run() delegates here while exec_ set). */
-    std::uint64_t runBatched(Tick limit);
-
-    /**
-     * Dispatch the heap top inline (caller ran popStale()) and
-     * advance the epochs its commit may have dirtied — all of them
-     * for an undeclared event, or for a declared one whose write set
-     * intersects @p batchReads (the open batch's accumulated read
-     * union; nullptr outside a commit phase). The latter is the
-     * interloper case: its writes were never admission-checked
-     * against the batch, so every plan a member speculated over that
-     * state must be invalidated.
-     */
-    void dispatchInlineBatched(const ConflictTracker *batchReads);
-
-    void
-    bumpEpochs(std::uint32_t globals)
-    {
-        for (unsigned r = 0; r < kNumSimResources; ++r)
-            if (globals & (1u << r))
-                ++resourceEpoch_[r];
-    }
-
-    void
-    bumpAllEpochs()
-    {
-        for (unsigned r = 0; r < kNumSimResources; ++r)
-            ++resourceEpoch_[r];
-    }
-
-    /// @}
-
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t livePending_ = 0;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    /** Per-compute-lane lambda freelists; lane 0 is the coordinator. */
-    std::vector<std::vector<LambdaEvent *>> lambdaPools_{1};
+    /** Finished lambda wrappers kept for reuse. */
+    std::vector<LambdaEvent *> lambdaPool_;
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-
-    ParallelExecutor *exec_ = nullptr;
-    std::uint64_t resourceEpoch_[kNumSimResources] = {};
-    /** Batch scratch, reused run to run (allocation-free steady state). */
-    std::vector<BatchMember> batch_;
-    std::vector<Event *> batchEvents_;
-    EventFootprint scratchFp_;
 };
 
 } // namespace latr

@@ -36,45 +36,18 @@ AbisPolicy::minorFaultOverhead() const
     return cost().abisPerFault;
 }
 
-void
-AbisPolicy::offerSharerHarvest(AddressSpace *mm, Vpn start_vpn,
-                               Vpn end_vpn, const CpuMask &mask)
-{
-    offer_.armed = true;
-    offer_.mm = mm;
-    offer_.startVpn = start_vpn;
-    offer_.endVpn = end_vpn;
-    offer_.mask = mask;
-}
-
 Duration
 AbisPolicy::onFreePages(FreeOpContext ctx, Tick start)
 {
     shootdownsCtr_.inc();
 
     // Harvest access bits: union of each page's sharer set, clipped
-    // to the cores where the mm is still resident. A precomputed
-    // offer substitutes for the walk only when the operation's actual
-    // page set is the single 4 KiB page the offer covered — any other
-    // shape (huge pages, already-unmapped pages dropping out) means
-    // the fresh union could differ, so the offer is discarded.
-    const bool offered =
-        offer_.armed && offer_.mm == ctx.mm &&
-        offer_.startVpn == ctx.startVpn &&
-        offer_.endVpn == ctx.endVpn && ctx.hugePages.empty() &&
-        ctx.pages.size() == 1 && ctx.pages[0].first == ctx.startVpn;
+    // to the cores where the mm is still resident.
     CpuMask sharers;
-    if (offered) {
-        sharers = offer_.mask;
-    } else {
-        for (const auto &page : ctx.pages)
-            sharers.orWith(ctx.mm->sharersOf(page.first));
-        for (const auto &page : ctx.hugePages)
-            sharers.orWith(ctx.mm->sharersOf(page.first));
-    }
-    offer_.armed = false; // one-shot, hit or miss
-    // Clipping and the initiator clear depend on commit-time state;
-    // they run fresh even on an offer hit.
+    for (const auto &page : ctx.pages)
+        sharers.orWith(ctx.mm->sharersOf(page.first));
+    for (const auto &page : ctx.hugePages)
+        sharers.orWith(ctx.mm->sharersOf(page.first));
     sharers.andWith(ctx.mm->residencyMask());
     sharers.clear(ctx.initiator);
 
@@ -107,9 +80,7 @@ AbisPolicy::onFreePages(FreeOpContext ctx, Tick start)
         AddressSpace *mm = ctx.mm;
         auto pages = std::move(ctx.pages);
         auto huge = std::move(ctx.hugePages);
-        EventFootprint fp;
-        fp.writeGlobal(SimResource::FrameAllocator);
-        env_.queue->scheduleLambda(free_at, fp, [mm, pages, huge]() {
+        env_.queue->scheduleLambda(free_at, [mm, pages, huge]() {
             for (const auto &page : pages)
                 mm->frames().put(page.second);
             for (const auto &page : huge)

@@ -36,31 +36,7 @@ class AbisPolicy : public TlbCoherencePolicy
 
     Duration minorFaultOverhead() const override;
 
-    void offerSharerHarvest(AddressSpace *mm, Vpn start_vpn,
-                            Vpn end_vpn, const CpuMask &mask) override;
-
   private:
-    /**
-     * The one-shot harvest stash: an epoch-validated sharer union a
-     * compute() phase offered for the next free on exactly this
-     * (mm, range). onFreePages() consumes it in place of its
-     * per-page access-bit walk when the free's actual page set is a
-     * single 4 KiB page at start_vpn — the only shape whose fresh
-     * harvest provably equals the offered union — and discards it
-     * otherwise. Residency clipping and the initiator clear always
-     * run fresh at commit (they depend on commit-time state the
-     * offer does not cover).
-     */
-    struct HarvestOffer
-    {
-        bool armed = false;
-        AddressSpace *mm = nullptr;
-        Vpn startVpn = 0;
-        Vpn endVpn = 0;
-        CpuMask mask;
-    };
-
-    HarvestOffer offer_;
     Counter &shootdownsAvoidedCtr_;
 };
 

@@ -52,15 +52,9 @@ BarrelfishPolicy::messageShootdown(AddressSpace *mm, CoreId initiator,
             rng_.nextBounded(cost().bfPollWindow + 1);
         const Tick applied_at = visible + poll_delay;
 
-        // The apply event touches only the target core's TLB and the
-        // shot-down space; declaring that lets deliveries to
-        // different cores ride in one parallel batch.
-        EventFootprint fp;
-        fp.writeCore(target);
-        fp.writeSpace(mm);
         env_.queue->scheduleLambda(
-            applied_at, fp, [this, mm, pcid, full_flush, start_vpn,
-                             end_vpn, inval, target]() {
+            applied_at, [this, pcid, full_flush, start_vpn, end_vpn,
+                         inval, target]() {
                 Tlb &tlb = env_.cores->tlbOf(target);
                 if (full_flush)
                     tlb.flushAll();
@@ -110,10 +104,7 @@ BarrelfishPolicy::onFreePages(FreeOpContext ctx, Tick start)
         AddressSpace *mm = ctx.mm;
         auto pages = std::move(ctx.pages);
         auto huge = std::move(ctx.hugePages);
-        EventFootprint fp;
-        fp.writeGlobal(SimResource::FrameAllocator);
-        env_.queue->scheduleLambda(start + wait, fp,
-                                   [mm, pages, huge]() {
+        env_.queue->scheduleLambda(start + wait, [mm, pages, huge]() {
             for (const auto &page : pages)
                 mm->frames().put(page.second);
             for (const auto &page : huge)

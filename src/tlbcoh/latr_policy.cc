@@ -24,7 +24,6 @@ LatrPolicy::LatrPolicy(PolicyEnv env)
     for (auto &ring : rings_)
         ring.resize(env_.config->latrStatesPerCore);
     allocCursor_.assign(rings_.size(), 0);
-    plans_.resize(rings_.size());
 }
 
 PolicyCapabilities
@@ -108,10 +107,8 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
             AddressSpace *mm = ctx.mm;
             auto pages = std::move(ctx.pages);
             auto huge = std::move(ctx.hugePages);
-            EventFootprint fp;
-            fp.writeGlobal(SimResource::FrameAllocator);
             env_.queue->scheduleLambda(
-                start + wait, fp, [mm, pages, huge]() {
+                start + wait, [mm, pages, huge]() {
                     for (const auto &page : pages)
                         mm->frames().put(page.second);
                     for (const auto &page : huge)
@@ -270,19 +267,6 @@ LatrPolicy::touchSweepLlc(CoreId core, unsigned matches)
 void
 LatrPolicy::sweep(CoreId core, Tick now)
 {
-    // Consume this core's speculative plan one-shot: a plan is valid
-    // only for the exact tick it was computed for and only while no
-    // active_ entry has been removed since it was taken (activeSeq_).
-    // States *published* since the plan are appends past the plan's
-    // activeSize and are reconciled below, so a plan survives even
-    // when earlier commits in its batch saved new states. A stale
-    // plan is simply dropped — the fresh scan below is always
-    // correct, the plan is purely an acceleration.
-    SweepPlan &plan = plans_[core];
-    const bool use_plan = plan.valid && plan.forTick == now &&
-                          plan.activeSeq == activeSeq_;
-    plan.valid = false;
-
     sweepsCtr_.inc();
 
     if (fastpath_ && !pendingSweepers_.test(core)) {
@@ -300,17 +284,11 @@ LatrPolicy::sweep(CoreId core, Tick now)
     unsigned matches = 0;
     Tlb &tlb = env_.cores->tlbOf(core);
 
-    // One candidate's visit — identical whether the candidate came
-    // from the fresh active_ scan or from a validated plan. The
-    // leading phase/mask re-checks are what make the plan safe:
-    // earlier same-batch commits may have deactivated a candidate or
-    // (for migration states) already cleared its PTE, and the visit
-    // re-reads both.
-    auto visit = [&](LatrState *state) {
+    for (LatrState *state : active_) {
         if (state->phase != LatrStatePhase::Active)
-            return;
+            continue;
         if (!state->cpuMask.test(core))
-            return;
+            continue;
         ++matches;
 
         if (state->kind == LatrStateKind::Migration &&
@@ -340,38 +318,15 @@ LatrPolicy::sweep(CoreId core, Tick now)
         state->cpuMask.clear(core);
         if (state->cpuMask.empty())
             deactivate(state, now);
-    };
-
-    if (use_plan) {
-        // The plan is the subsequence of active_[0..activeSize) that
-        // passed the phase/mask filter at plan time. No removal
-        // intervened (activeSeq_ check) and the filter is monotone
-        // for existing entries — phases only leave Active and mask
-        // bits only clear, both re-checked by the visit — so over
-        // that prefix the planned visit equals a fresh scan. Entries
-        // past activeSize were published since the plan (possibly by
-        // earlier commits in this very batch) and are scanned fresh,
-        // in order, exactly as the fresh path would reach them.
-        for (LatrState *state : plan.candidates)
-            visit(state);
-        for (std::size_t i = plan.activeSize; i < active_.size(); ++i)
-            visit(active_[i]);
-    } else {
-        for (LatrState *state : active_)
-            visit(state);
     }
 
-    // Compact: deactivated states left the Active phase. Removals
-    // shift indices, so outstanding plans die (activeSeq_).
-    const std::size_t live = active_.size();
+    // Compact: deactivated states left the Active phase.
     active_.erase(std::remove_if(active_.begin(), active_.end(),
                                  [](LatrState *s) {
                                      return s->phase !=
                                             LatrStatePhase::Active;
                                  }),
                   active_.end());
-    if (active_.size() != live)
-        ++activeSeq_;
 
     spent += matches * cost().latrSweepPerMatch;
     sweepMatchesCtr_.inc(matches);
@@ -389,11 +344,10 @@ LatrPolicy::sweep(CoreId core, Tick now)
 
     touchSweepLlc(core, matches);
 
-    // This sweep visited every active state addressing this core
-    // (the fresh scan trivially; a validated plan by the epoch
-    // argument) and cleared the core's bit from each match, so
-    // nothing addresses the core anymore: drop it from the summary
-    // mask until the next publish.
+    // This sweep visited every active state addressing this core and
+    // cleared the core's bit from each match, so nothing addresses
+    // the core anymore: drop it from the summary mask until the next
+    // publish.
     pendingSweepers_.clear(core);
 }
 
@@ -425,35 +379,6 @@ LatrPolicy::ReclaimPassEvent::process()
     policy->runReclaimPass(this);
 }
 
-bool
-LatrPolicy::ReclaimPassEvent::footprint(EventFootprint &fp) const
-{
-    // A reclaim pass frees frames (FrameAllocator), retires ring
-    // slots that publishes may immediately reuse (LatrPublish), and
-    // releases held-back VA ranges of whichever address spaces the
-    // eligible states reference — unknown until the pass runs, hence
-    // the all-spaces write. No reads: the plan is validated by
-    // pendingRemovalSeq_, not by batch admission.
-    fp.writeGlobal(SimResource::FrameAllocator);
-    fp.writeGlobal(SimResource::LatrPublish);
-    fp.writeAllSpaces();
-    return true;
-}
-
-void
-LatrPolicy::ReclaimPassEvent::compute()
-{
-    policy->planReclaimPass(this);
-}
-
-unsigned
-LatrPolicy::ReclaimPassEvent::computeWeight() const
-{
-    // Proportional to the pending_ walk the compute hoists; an empty
-    // list makes the plan trivial and not worth a worker wakeup.
-    return static_cast<unsigned>(policy->pending_.size());
-}
-
 void
 LatrPolicy::scheduleReclaimPass(Tick eligible_at)
 {
@@ -470,28 +395,7 @@ LatrPolicy::scheduleReclaimPass(Tick eligible_at)
         ev->policy = this;
     }
     ev->eligibleAt = eligible_at;
-    ev->planValid = false;
     env_.queue->schedule(ev, eligible_at);
-}
-
-void
-LatrPolicy::planReclaimPass(ReclaimPassEvent *ev)
-{
-    // Read-only, possibly on a worker thread: partition pending_ by
-    // the pass's (fixed) eligibility cutoff. savedAt is immutable
-    // while a state is pending, so the predicate cannot change
-    // between this plan and the commit that applies it.
-    ev->reclaim.clear();
-    ev->keep.clear();
-    ev->removalSeq = pendingRemovalSeq_;
-    ev->pendingSize = pending_.size();
-    for (LatrState *state : pending_) {
-        if (ev->eligibleAt < state->savedAt + cost().latrReclaimDelay)
-            ev->keep.push_back(state);
-        else
-            ev->reclaim.push_back(state);
-    }
-    ev->planValid = true;
 }
 
 void
@@ -535,53 +439,19 @@ void
 LatrPolicy::runReclaimPass(ReclaimPassEvent *ev)
 {
     const Tick now = ev->eligibleAt;
-    // The sequential engine never computes, and a parallel plan dies
-    // if another pass reclaimed (removed from pending_) since it was
-    // taken. Appends since the plan are fine: they sit past
-    // pendingSize and get partitioned fresh below.
-    const bool use_plan =
-        ev->planValid && ev->removalSeq == pendingRemovalSeq_;
-    ev->planValid = false;
-
     std::vector<LatrState *> &keep = reclaimScratch_;
     keep.clear();
     keep.reserve(pending_.size());
-    std::size_t reclaimed = 0;
-    if (use_plan) {
-        // Planned partition over the prefix the plan saw — reclaim
-        // and keep lists were built in pending_ order, so replaying
-        // reclaims then splicing keeps reproduces the fresh scan's
-        // order exactly.
-        for (LatrState *state : ev->reclaim) {
-            // Eligible: every TLB entry died (the state deactivated)
-            // and at least the aging window passed since the save.
-            reclaimState(state);
-            ++reclaimed;
+    for (LatrState *state : pending_) {
+        // Eligible: every TLB entry died (the state deactivated) and
+        // at least the aging window passed since the save.
+        if (now < state->savedAt + cost().latrReclaimDelay) {
+            keep.push_back(state);
+            continue;
         }
-        keep.insert(keep.end(), ev->keep.begin(), ev->keep.end());
-        for (std::size_t i = ev->pendingSize; i < pending_.size();
-             ++i) {
-            LatrState *state = pending_[i];
-            if (now < state->savedAt + cost().latrReclaimDelay) {
-                keep.push_back(state);
-                continue;
-            }
-            reclaimState(state);
-            ++reclaimed;
-        }
-    } else {
-        for (LatrState *state : pending_) {
-            if (now < state->savedAt + cost().latrReclaimDelay) {
-                keep.push_back(state);
-                continue;
-            }
-            reclaimState(state);
-            ++reclaimed;
-        }
+        reclaimState(state);
     }
     pending_.swap(keep);
-    if (reclaimed > 0)
-        ++pendingRemovalSeq_;
 
     if (env_.config->latrTimeOnlyReclaim) {
         // The paper's pure time-bound reclamation: age alone makes a
@@ -607,7 +477,6 @@ LatrPolicy::runReclaimPass(ReclaimPassEvent *ev)
                                           LatrStatePhase::Active;
                                }),
                 active_.end());
-            ++activeSeq_; // removals invalidate outstanding plans
         }
     }
 
@@ -629,52 +498,6 @@ LatrPolicy::onContextSwitch(CoreId core, Tick now)
         return;
     if (env_.config->latrSweepAtContextSwitch)
         sweep(core, now);
-}
-
-void
-LatrPolicy::addTickFootprint(CoreId, EventFootprint &fp) const
-{
-    // Correctness no longer needs this read: sweep plans are
-    // validated by activeSeq_ and reconcile appended states, so they
-    // survive same-batch publishes (DESIGN.md §8.4). The read is
-    // kept as a *pacing* declaration — it stops batch formation at
-    // the first tick after a publisher, which bounds how far the
-    // dispatcher speculates past the commit frontier and keeps
-    // freshly scheduled completions landing in *future* batches
-    // (where they get compute plans) instead of arriving as
-    // plan-less interlopers inside a huge open batch.
-    fp.readGlobal(SimResource::LatrPublish);
-}
-
-void
-LatrPolicy::planSchedulerTick(CoreId core, Tick tick)
-{
-    if (env_.config->injectSkipLatrSweep)
-        return;
-    SweepPlan &plan = plans_[core];
-    plan.candidates.clear();
-    if (!(fastpath_ && !pendingSweepers_.test(core))) {
-        for (LatrState *state : active_) {
-            if (state->phase == LatrStatePhase::Active &&
-                state->cpuMask.test(core))
-                plan.candidates.push_back(state);
-        }
-    }
-    plan.forTick = tick;
-    plan.activeSeq = activeSeq_;
-    plan.activeSize = active_.size();
-    plan.valid = true;
-}
-
-bool
-LatrPolicy::tickPlanIsHeavy(CoreId core) const
-{
-    // The plan is worth a worker thread only when the sweep would
-    // actually walk active_: elided sweeps (summary-mask miss) and
-    // empty systems plan nothing.
-    if (active_.empty())
-        return false;
-    return !fastpath_ || pendingSweepers_.test(core);
 }
 
 StalenessContract

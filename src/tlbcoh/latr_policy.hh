@@ -101,25 +101,6 @@ class LatrPolicy : public TlbCoherencePolicy
     void onSchedulerTick(CoreId core, Tick now) override;
     void onContextSwitch(CoreId core, Tick now) override;
 
-    /// @name Parallel engine
-    /// @{
-
-    /** The sweep plan reads the publication state. */
-    void addTickFootprint(CoreId core, EventFootprint &fp) const override;
-
-    /**
-     * Pre-scan active_ for the states @p core's sweep will match:
-     * the read-only 80% of the sweep, hoisted onto worker threads.
-     * The commit revalidates each candidate (phase and mask bit)
-     * before acting, which makes the planned visit provably equal to
-     * a fresh scan — see DESIGN.md §8 for the argument.
-     */
-    void planSchedulerTick(CoreId core, Tick tick) override;
-
-    bool tickPlanIsHeavy(CoreId core) const override;
-
-    /// @}
-
     /// @name Introspection (tests, benches, memory accounting)
     /// @{
 
@@ -147,42 +128,20 @@ class LatrPolicy : public TlbCoherencePolicy
   private:
     /**
      * One scheduled background reclamation pass, pooled by the
-     * policy (acquire on schedule, recycle after commit). Its
-     * compute() phase partitions pending_ — the cache-missing walk
-     * over scattered ring slots that dominates the pass — into the
-     * reclaim/keep lists the commit will apply. The plan is
-     * validated by pendingRemovalSeq_: only a reclaim pass ever
-     * removes from (or reorders) pending_, every other mutation is a
-     * push_back, and a pending state's savedAt/phase are frozen
-     * until reclaimed — so an unchanged seq proves the planned
-     * partition over the first pendingSize entries is *exactly* what
-     * a fresh scan would produce, and entries appended since the
-     * plan are partitioned fresh at commit. No epoch needed: the
-     * validator is bumped on the only mutation path (DESIGN.md §8.4).
+     * policy (acquire on schedule, recycle after it runs).
      */
     class ReclaimPassEvent final : public Event
     {
       public:
         void process() override;
-        bool footprint(EventFootprint &fp) const override;
-        void compute() override;
-        unsigned computeWeight() const override;
         const char *name() const override { return "latr-reclaim"; }
 
       private:
         friend class LatrPolicy;
 
         LatrPolicy *policy = nullptr;
-        /** The pass's reclamation cutoff (the lambda's old arg). */
+        /** The pass's reclamation cutoff. */
         Tick eligibleAt = 0;
-        bool planValid = false;
-        /** pendingRemovalSeq_ snapshot the plan was taken under. */
-        std::uint64_t removalSeq = 0;
-        /** pending_.size() at plan time: later entries are appends. */
-        std::size_t pendingSize = 0;
-        /** Planned partition of pending_[0..pendingSize), in order. */
-        std::vector<LatrState *> reclaim;
-        std::vector<LatrState *> keep;
     };
 
     /** Find an Empty slot in @p core's ring, or nullptr. */
@@ -197,13 +156,9 @@ class LatrPolicy : public TlbCoherencePolicy
     /** Schedule a one-shot reclamation pass for @p state's age. */
     void scheduleReclaimPass(Tick eligible_at);
 
-    /** ReclaimPassEvent::compute(): build @p ev's reclaim/keep plan. */
-    void planReclaimPass(ReclaimPassEvent *ev);
-
     /**
      * ReclaimPassEvent::process(): free everything eligible at the
-     * pass cutoff — via the validated plan or a fresh scan — then
-     * recycle @p ev.
+     * pass cutoff, then recycle @p ev.
      */
     void runReclaimPass(ReclaimPassEvent *ev);
 
@@ -216,52 +171,14 @@ class LatrPolicy : public TlbCoherencePolicy
     /** The sweep's LLC state-block walk (matches + 1 lines). */
     void touchSweepLlc(CoreId core, unsigned matches);
 
-    /**
-     * One core's speculative sweep plan, filled by
-     * planSchedulerTick() (worker thread) and consumed by the next
-     * sweep() commit on that core. Valid only for the exact tick it
-     * was planned for and while activeSeq_ is unchanged, i.e. while
-     * no active_ entry has been removed or reordered since the plan
-     * was taken. Publishes *append* to active_, so a valid plan is
-     * reconciled at commit by additionally scanning the entries past
-     * activeSize — together with the per-candidate phase/mask
-     * re-checks that makes the planned visit exactly equal to a
-     * fresh scan (DESIGN.md §8.4), even when earlier batch members
-     * published new states. Anything else falls back to the fresh
-     * active_ scan, which is always correct. The candidates vector
-     * is reused tick to tick, so steady state allocates nothing.
-     */
-    struct SweepPlan
-    {
-        bool valid = false;
-        Tick forTick = 0;
-        /** activeSeq_ snapshot the plan was computed under. */
-        std::uint64_t activeSeq = 0;
-        /** active_.size() at plan time: later entries are appends. */
-        std::size_t activeSize = 0;
-        std::vector<LatrState *> candidates;
-    };
-
     std::vector<std::vector<LatrState>> rings_; // per core
     std::vector<LatrState *> active_;
     std::vector<LatrState *> pending_;
 
-    /**
-     * Bumped whenever entries are *removed* from active_ (sweep
-     * compaction, time-only reclamation) — appends do not bump it.
-     * Sweep plans snapshot it; a match proves every entry the plan
-     * saw still sits at the same index, so the plan plus an
-     * appended-tail scan covers exactly what a fresh scan would.
-     */
-    std::uint64_t activeSeq_ = 0;
-
-    /** Same discipline for pending_: bumped by reclaiming passes. */
-    std::uint64_t pendingRemovalSeq_ = 0;
-
     /** Pooled pass events (owners) and the recycled free list. */
     std::vector<std::unique_ptr<ReclaimPassEvent>> reclaimEvents_;
     std::vector<ReclaimPassEvent *> freeReclaimEvents_;
-    /** Commit-phase scratch for the new pending_ (reused). */
+    /** Scratch for the new pending_ (reused pass to pass). */
     std::vector<LatrState *> reclaimScratch_;
 
     /**
@@ -290,8 +207,6 @@ class LatrPolicy : public TlbCoherencePolicy
      * instead of a scan over every in-flight slot.
      */
     std::vector<unsigned> allocCursor_;
-    /** Per-core sweep plans (parallel engine; idle otherwise). */
-    std::vector<SweepPlan> plans_;
 };
 
 } // namespace latr

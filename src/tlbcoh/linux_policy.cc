@@ -46,9 +46,7 @@ LinuxPolicy::onFreePages(FreeOpContext ctx, Tick start)
         AddressSpace *mm = ctx.mm;
         auto pages = std::move(ctx.pages);
         auto huge = std::move(ctx.hugePages);
-        EventFootprint fp;
-        fp.writeGlobal(SimResource::FrameAllocator);
-        env_.queue->scheduleLambda(free_at, fp, [mm, pages, huge]() {
+        env_.queue->scheduleLambda(free_at, [mm, pages, huge]() {
             for (const auto &page : pages)
                 mm->frames().put(page.second);
             for (const auto &page : huge)

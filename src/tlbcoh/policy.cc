@@ -54,22 +54,6 @@ TlbCoherencePolicy::onContextSwitch(CoreId, Tick)
 {
 }
 
-void
-TlbCoherencePolicy::addTickFootprint(CoreId, EventFootprint &) const
-{
-}
-
-void
-TlbCoherencePolicy::planSchedulerTick(CoreId, Tick)
-{
-}
-
-bool
-TlbCoherencePolicy::tickPlanIsHeavy(CoreId) const
-{
-    return false;
-}
-
 CpuMask
 TlbCoherencePolicy::remoteTargets(AddressSpace *mm,
                                   CoreId initiator) const
@@ -120,8 +104,7 @@ TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
     auto handler_cost = [handler_body](CoreId) { return handler_body; };
 
     auto on_deliver = [this, mm, pcid, full_flush, start_vpn, end_vpn,
-                       handler_body](CoreId target, Tick,
-                                     const Tlb::InvalidationPlan *plan) {
+                       handler_body](CoreId target, Tick) {
         Tlb &tlb = env_.cores->tlbOf(target);
         if (full_flush) {
             tlb.flushAll();
@@ -130,9 +113,7 @@ TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
             // mms' masks are reconciled lazily by the scheduler.)
             if (!env_.cores->tlbOf(target).size())
                 mm->residencyMask().clear(target);
-        } else if (!plan || !tlb.applyInvalidationPlan(*plan)) {
-            // No plan, or the target TLB changed since it was probed
-            // (Tlb::mutationSeq() moved): invalidate fresh.
+        } else {
             tlb.invalidateRange(start_vpn, end_vpn, pcid);
         }
         env_.cores->chargeStolen(
@@ -141,24 +122,8 @@ TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
         remoteInterruptsCtr_.inc();
     };
 
-    // Range shootdowns pre-probe the target TLB in the delivery's
-    // compute() phase — the removal walk is the bulk of the handler's
-    // host-side work, hoisted onto worker lanes. Full flushes drop
-    // everything unconditionally; there is nothing to probe.
-    IpiFabric::PlanFn planner;
-    if (!full_flush) {
-        planner = [this, pcid, start_vpn, end_vpn](
-                      CoreId target, Tlb::InvalidationPlan *plan) {
-            env_.cores->tlbOf(target).planInvalidateRange(
-                start_vpn, end_vpn, pcid, plan);
-        };
-    }
-    const unsigned plan_weight = static_cast<unsigned>(
-        std::min<std::uint64_t>(npages, 256));
-
     IpiBroadcastResult r = env_.ipi->broadcast(
-        initiator, targets, start, handler_cost, on_deliver, mm,
-        planner, plan_weight);
+        initiator, targets, start, handler_cost, on_deliver);
     if (TraceRecorder *t = tracer()) {
         const SpanId span = t->beginSpan(
             "coh", "coh.ipi_shootdown", start, initiator, mm->id(),

@@ -197,62 +197,6 @@ class TlbCoherencePolicy
     /** Context switch on @p core (LATR sweeps here too). */
     virtual void onContextSwitch(CoreId core, Tick now);
 
-    /// @name Parallel engine (optional; defaults are no-ops)
-    /// @{
-
-    /**
-     * Contribute this policy's share of @p core's scheduler-tick
-     * conflict footprint. Must declare as *reads* whatever
-     * planSchedulerTick() consults and as *writes* whatever the
-     * tick-driven hooks mutate that another event's compute might
-     * read. Plan-preserving mutations — ones provably invisible to
-     * every concurrently computed plan, like LATR's sweep
-     * retirements — may stay undeclared (DESIGN.md §8).
-     */
-    virtual void addTickFootprint(CoreId core, EventFootprint &fp) const;
-
-    /**
-     * Speculative half of onSchedulerTick(): runs before the tick
-     * commits, possibly on a worker thread concurrently with other
-     * cores' plans. Strictly read-only on shared simulation state;
-     * results go into per-core plan scratch that the commit
-     * validates (and may discard). Never required for correctness:
-     * the sequential engine skips it entirely.
-     */
-    virtual void planSchedulerTick(CoreId core, Tick tick);
-
-    /** True when planSchedulerTick(@p core) does nontrivial work. */
-    virtual bool tickPlanIsHeavy(CoreId core) const;
-
-    /**
-     * Offer a precomputed sharer harvest for the next free operation
-     * on @p mm covering exactly [@p start_vpn, @p end_vpn]: @p mask
-     * is the union of the range's per-page sharer sets as probed by
-     * a compute() phase, and the *offerer* has already validated it
-     * (against SimResource::SharerDirectory's epoch) as current.
-     * One-shot: the policy consumes or discards it on its next
-     * onFreePages() call. Policies that never harvest sharer sets
-     * ignore the offer (the default).
-     */
-    virtual void offerSharerHarvest(AddressSpace *mm, Vpn start_vpn,
-                                    Vpn end_vpn, const CpuMask &mask)
-    {
-        (void)mm;
-        (void)start_vpn;
-        (void)end_vpn;
-        (void)mask;
-    }
-
-    /**
-     * Invariant the parallel engine leans on: any code path that
-     * *publishes* coherence state other events plan against (LATR
-     * state saves, ring refills) must run either driver-side, from
-     * an undeclared (barrier) event, or from an event declaring the
-     * matching SimResource write — never from a compute() phase.
-     */
-
-    /// @}
-
     /** Extra cost this policy adds to every minor fault (ABIS). */
     virtual Duration minorFaultOverhead() const { return 0; }
 

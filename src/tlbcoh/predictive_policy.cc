@@ -101,9 +101,7 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
         AddressSpace *mm = ctx.mm;
         auto pages = std::move(ctx.pages);
         auto huge = std::move(ctx.hugePages);
-        EventFootprint fp;
-        fp.writeGlobal(SimResource::FrameAllocator);
-        env_.queue->scheduleLambda(start, fp, [mm, pages, huge]() {
+        env_.queue->scheduleLambda(start, [mm, pages, huge]() {
             for (const auto &page : pages)
                 mm->frames().put(page.second);
             for (const auto &page : huge)
@@ -208,34 +206,6 @@ PredictivePolicy::VerifyEvent::process()
     policy->runVerify(this);
 }
 
-bool
-PredictivePolicy::VerifyEvent::footprint(EventFootprint &fp) const
-{
-    // compute() probes every candidate's TLB (reads); process() may
-    // free frames, release the held-back VA range, and charge the
-    // owning core for fallback sends.
-    candidates.forEach([&fp](CoreId c) { fp.readCore(c); });
-    fp.writeCore(owner);
-    fp.writeSpace(mm);
-    fp.writeGlobal(SimResource::FrameAllocator);
-    return true;
-}
-
-void
-PredictivePolicy::VerifyEvent::compute()
-{
-    policy->planVerify(this);
-}
-
-unsigned
-PredictivePolicy::VerifyEvent::computeWeight() const
-{
-    // Proportional to the probe walk compute() hoists off the
-    // commit thread.
-    return candidates.count() *
-           static_cast<unsigned>(pages.size() + hugePages.size());
-}
-
 PredictivePolicy::VerifyEvent *
 PredictivePolicy::acquireVerifyEvent()
 {
@@ -250,7 +220,6 @@ PredictivePolicy::acquireVerifyEvent()
     }
     ev->pages.clear();
     ev->hugePages.clear();
-    ev->planValid = false;
     return ev;
 }
 
@@ -263,41 +232,14 @@ PredictivePolicy::scheduleVerify(VerifyEvent *ev, Tick at)
 }
 
 void
-PredictivePolicy::planVerify(VerifyEvent *ev)
-{
-    // Read-only, possibly on a worker lane: probe each candidate and
-    // snapshot its mutation sequence. The commit re-probes any core
-    // whose TLB mutated since (the DeliveryEvent discipline,
-    // DESIGN.md §8.4).
-    ev->planStale.reset();
-    ev->planSeqs.clear();
-    ev->candidates.forEach([&](CoreId c) {
-        ev->planSeqs.push_back(env_.cores->tlbOf(c).mutationSeq());
-        if (coreHoldsStale(c, ev))
-            ev->planStale.set(c);
-    });
-    ev->planValid = true;
-}
-
-void
 PredictivePolicy::runVerify(VerifyEvent *ev)
 {
     const Tick now = env_.queue->now();
     verifiesCtr_.inc();
 
     CpuMask stale;
-    const bool planned = ev->planValid;
-    ev->planValid = false;
-    unsigned i = 0;
     ev->candidates.forEach([&](CoreId c) {
-        bool holds;
-        if (planned &&
-            ev->planSeqs[i] == env_.cores->tlbOf(c).mutationSeq())
-            holds = ev->planStale.test(c);
-        else
-            holds = coreHoldsStale(c, ev);
-        ++i;
-        if (holds)
+        if (coreHoldsStale(c, ev))
             stale.set(c);
     });
 
@@ -329,8 +271,6 @@ PredictivePolicy::runVerify(VerifyEvent *ev)
 
     if (wait == 0) {
         // Clean (or empty) verification: coherence certain now.
-        // Frees and the VA release are covered by this event's
-        // declared writes.
         for (const auto &page : ev->pages)
             ev->mm->frames().put(page.second);
         for (const auto &page : ev->hugePages)
@@ -345,11 +285,8 @@ PredictivePolicy::runVerify(VerifyEvent *ev)
         auto huge = std::move(ev->hugePages);
         const Addr va_start = ev->vaStart;
         const Addr va_end = ev->vaEnd;
-        EventFootprint fp;
-        fp.writeGlobal(SimResource::FrameAllocator);
-        fp.writeSpace(mm);
         env_.queue->scheduleLambda(
-            now + wait, fp, [mm, pages, huge, va_start, va_end]() {
+            now + wait, [mm, pages, huge, va_start, va_end]() {
                 for (const auto &page : pages)
                     mm->frames().put(page.second);
                 for (const auto &page : huge)

@@ -10,12 +10,10 @@
  * the op returns after the predicted shootdown, like Linux but with
  * a smaller fan-out. Frames and the virtual range are *not* released
  * yet: a pooled VerifyEvent fires one scheduler epoch later, probes
- * every candidate's TLB for the freed (vpn → pfn) translations
- * (read-only, offloadable to a compute() lane and validated per core
- * by Tlb::mutationSeq()), and either confirms the prediction —
- * releasing frames and VA, training the predictor positive — or
- * detects a stale hit, issues the full-mask fallback shootdown, and
- * trains on the miss. Correctness therefore never depends on
+ * every candidate's TLB for the freed (vpn → pfn) translations, and
+ * either confirms the prediction — releasing frames and VA, training
+ * the predictor positive — or detects a stale hit, issues the
+ * full-mask fallback shootdown, and trains on the miss. Correctness therefore never depends on
  * prediction accuracy: a stale translation dies at latest one epoch
  * plus one fallback round-trip after the op, which is exactly the
  * policy's staleness contract.
@@ -64,9 +62,6 @@ class PredictivePolicy : public TlbCoherencePolicy
     {
       public:
         void process() override;
-        bool footprint(EventFootprint &fp) const override;
-        void compute() override;
-        unsigned computeWeight() const override;
         const char *name() const override { return "pred.verify"; }
 
       private:
@@ -89,18 +84,11 @@ class PredictivePolicy : public TlbCoherencePolicy
         CpuMask ackSharers;
         SharerFeatures features;
         CoreId owner = 0;
-
-        // compute() scratch, validated at commit per candidate by
-        // the mutationSeq snapshot (DESIGN.md §8.4).
-        bool planValid = false;
-        CpuMask planStale;
-        std::vector<std::uint64_t> planSeqs;
     };
 
     /** Probe @p core for any of @p ev's freed translations. */
     bool coreHoldsStale(CoreId core, const VerifyEvent *ev) const;
 
-    void planVerify(VerifyEvent *ev);
     void runVerify(VerifyEvent *ev);
     void scheduleVerify(VerifyEvent *ev, Tick at);
     VerifyEvent *acquireVerifyEvent();

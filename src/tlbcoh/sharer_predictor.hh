@@ -11,9 +11,8 @@
  * savings) and learns the non-sharers as confirmed outcomes arrive.
  *
  * Everything here is a pure function of the feature vector and the
- * training history; PredictivePolicy only trains from event commits,
- * which the parallel engine replays in exact (tick, seq) order, so
- * predictions are byte-identical at every --sim-threads count.
+ * training history, and PredictivePolicy trains only from events,
+ * which run in (tick, seq) order — so predictions are deterministic.
  */
 
 #ifndef LATR_TLBCOH_SHARER_PREDICTOR_HH_

@@ -117,29 +117,6 @@ struct MachineConfig
     bool noFastpath = false;
     /// @}
 
-    /// @name Parallel engine
-    /// @{
-    /**
-     * Compute threads for the optimistic batched engine: 0 keeps the
-     * classic sequential event loop; N >= 1 runs batched dispatch
-     * with N compute lanes (the coordinator plus N-1 workers). Any
-     * value yields byte-identical simulated results — commits always
-     * replay in sequential (tick, seq) order — so this is a
-     * host-speed knob, never a model change.
-     */
-    unsigned simThreads = 0;
-    /**
-     * Pin the parallel engine's worker threads to host CPUs (worker
-     * lane k to CPU k mod the host CPU count). Off by default:
-     * concurrent machines — `--jobs` bench sweeps, parallel test
-     * shards — would otherwise stack every executor's workers on the
-     * same low-numbered CPUs. Turn on (`--pin-sim-threads` on the
-     * benches) for single-machine throughput runs on an idle host.
-     * Like simThreads, never affects simulated results.
-     */
-    bool pinSimThreads = false;
-    /// @}
-
     /** All latency constants. */
     CostModel cost;
 

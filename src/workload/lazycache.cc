@@ -4,29 +4,9 @@
 #include <utility>
 
 #include "sim/logging.hh"
-#include "tlbcoh/policy.hh"
 
 namespace latr
 {
-
-namespace
-{
-
-/** Steps declare footprints so lazycache is no barrier when threaded. */
-void
-declareStepWrites(EventFootprint &fp, CoreId core, const void *mm)
-{
-    // One step mutates: this core's TLB and stolen-time account,
-    // the shared mm (PTEs, sharer map, residency), and — via minor
-    // faults — the frame allocator's free lists. No compute() phase,
-    // so no read declarations: commits replay in (tick, seq) order
-    // and tolerate write/write overlap between steps.
-    fp.writeCore(core);
-    fp.writeSpace(mm);
-    fp.writeGlobal(SimResource::FrameAllocator);
-}
-
-} // namespace
 
 /**
  * One reader thread: pick a page (hot-biased), take the optimistic
@@ -83,13 +63,6 @@ class LazyCacheWorkload::Reader : public CoreActor
         return d;
     }
 
-    bool
-    stepFootprint(EventFootprint &fp) const override
-    {
-        declareStepWrites(fp, core(), &task()->mm());
-        return true;
-    }
-
   private:
     LazyCacheWorkload &cache_;
     Rng rng_;
@@ -123,13 +96,6 @@ class LazyCacheWorkload::Writer : public CoreActor
         return d;
     }
 
-    bool
-    stepFootprint(EventFootprint &fp) const override
-    {
-        declareStepWrites(fp, core(), &task()->mm());
-        return true;
-    }
-
   private:
     LazyCacheWorkload &cache_;
     Rng rng_;
@@ -149,8 +115,7 @@ class LazyCacheWorkload::Pressure : public CoreActor
   public:
     Pressure(Machine &machine, Task *task, LazyCacheWorkload &cache,
              std::uint64_t seed)
-        : CoreActor(machine, task), cache_(cache), rng_(seed),
-          harvesting_(machine.policy().kind() == PolicyKind::Abis)
+        : CoreActor(machine, task), cache_(cache), rng_(seed)
     {
     }
 
@@ -162,16 +127,6 @@ class LazyCacheWorkload::Pressure : public CoreActor
         const std::uint64_t cold = c.config_.cachePages - c.hotPages_;
         if (cold == 0 || c.config_.burstPages == 0)
             return c.config_.pressureInterval;
-
-        // A burst plan is usable only when nothing that might touch
-        // the sharer directory committed since stepCompute() read it
-        // (SharerDirectory is a no-writer resource; see its enum doc
-        // for why this check is precise).
-        const bool planned =
-            plan_.valid &&
-            plan_.epoch == machine().queue().resourceEpoch(
-                               SimResource::SharerDirectory);
-        plan_.valid = false;
 
         ++c.bursts_;
         Duration d = 0;
@@ -187,8 +142,6 @@ class LazyCacheWorkload::Pressure : public CoreActor
                 c.hotPages_ + rng_.nextBounded(cold);
             if (!c.filled_[page])
                 continue;
-            if (planned)
-                offerPlanned(page);
             SyscallResult r = kernel().madviseFree(
                 task(), c.pageAddr(page), kPageSize);
             d += r.latency;
@@ -202,111 +155,9 @@ class LazyCacheWorkload::Pressure : public CoreActor
         return d + c.config_.pressureInterval;
     }
 
-    bool
-    stepFootprint(EventFootprint &fp) const override
-    {
-        declareStepWrites(fp, core(), &task()->mm());
-        // MADV_FREE publishes LATR states (or takes the fallback
-        // path); tick sweeps compute() against this resource, so the
-        // burst must invalidate their plans.
-        fp.writeGlobal(SimResource::LatrPublish);
-        // When stepCompute() harvests sharer sets it reads the mm,
-        // so an mm-writing event ahead of this one in a batch must
-        // keep it out (that admission rule plus the SharerDirectory
-        // epoch makes the plan validation in step() exact).
-        if (harvesting_)
-            fp.readSpace(&task()->mm());
-        return true;
-    }
-
-    /**
-     * Replicate the burst's page selection read-only — a cloned RNG
-     * and a cleared-pages scratch stand in for rng_/filled_ — and
-     * record each selected page's sharer set from the mm's access-bit
-     * directory. step() then hands ABIS each mask right before the
-     * matching MADV_FREE, hoisting the harvest walk off the serial
-     * commit path. If the replay diverges from the real selection
-     * (a failed madviseFree), the lookup by page simply misses and
-     * ABIS harvests fresh — never a wrong mask.
-     */
-    void
-    stepCompute() override
-    {
-        plan_.valid = false;
-        LazyCacheWorkload &c = cache_;
-        const std::uint64_t cold = c.config_.cachePages - c.hotPages_;
-        if (!harvesting_ || cold == 0 || c.config_.burstPages == 0)
-            return;
-
-        plan_.masks.clear();
-        cleared_.clear();
-        Rng rng = rng_;
-        const AddressSpace &mm = task()->mm();
-        std::uint64_t discarded = 0;
-        for (std::uint64_t n = 0;
-             n < c.config_.burstPages * 4 &&
-             discarded < c.config_.burstPages;
-             ++n) {
-            const std::uint64_t page =
-                c.hotPages_ + rng.nextBounded(cold);
-            if (!c.filled_[page])
-                continue;
-            if (std::find(cleared_.begin(), cleared_.end(), page) !=
-                cleared_.end())
-                continue;
-            cleared_.push_back(page);
-            const Vpn vpn = c.pageAddr(page) >> kPageShift;
-            plan_.masks.emplace_back(page, mm.sharersOf(vpn));
-            ++discarded;
-        }
-        plan_.epoch = machine().queue().resourceEpoch(
-            SimResource::SharerDirectory);
-        plan_.valid = true;
-    }
-
-    unsigned
-    stepComputeWeight() const override
-    {
-        const LazyCacheWorkload &c = cache_;
-        const bool plans = harvesting_ &&
-                           c.config_.cachePages > c.hotPages_ &&
-                           c.config_.burstPages > 0;
-        return plans ? static_cast<unsigned>(std::min<std::uint64_t>(
-                           c.config_.burstPages, 256))
-                     : 0;
-    }
-
   private:
-    void
-    offerPlanned(std::uint64_t page)
-    {
-        for (const auto &pm : plan_.masks) {
-            if (pm.first != page)
-                continue;
-            const Vpn vpn = cache_.pageAddr(page) >> kPageShift;
-            machine().policy().offerSharerHarvest(&task()->mm(), vpn,
-                                                  vpn, pm.second);
-            return;
-        }
-    }
-
-    /** The compute()-built burst plan; scratch reused across bursts. */
-    struct BurstPlan
-    {
-        bool valid = false;
-        /** SharerDirectory epoch the masks were read under. */
-        std::uint64_t epoch = 0;
-        /** (page index, sharer mask) per planned MADV_FREE. */
-        std::vector<std::pair<std::uint64_t, CpuMask>> masks;
-    };
-
     LazyCacheWorkload &cache_;
     Rng rng_;
-    /** Sharer harvests only pay off under ABIS; plan only there. */
-    const bool harvesting_;
-    BurstPlan plan_;
-    /** stepCompute()'s stand-in for the filled_ bits it must not flip. */
-    std::vector<std::uint64_t> cleared_;
 };
 
 LazyCacheWorkload::LazyCacheWorkload(Machine &machine,

@@ -96,9 +96,9 @@ class LazyCacheWorkload
      * FNV-1a64 over the workload counters, every page's generation
      * and filled flag, and per-actor iteration counts. Any
      * scheduling divergence between engine configurations changes
-     * interleaving-visible state, so equal digests across
-     * --sim-threads values certify the parallel engine preserved
-     * the model exactly.
+     * interleaving-visible state, so equal digests with and without
+     * --no-fastpath certify the fast paths preserved the model
+     * exactly.
      */
     std::uint64_t digest() const;
 

@@ -54,23 +54,6 @@ class WebServerWorkload::Worker : public CoreActor
         return d;
     }
 
-    bool
-    stepFootprint(EventFootprint &fp) const override
-    {
-        // One request mutates this core's TLB/stolen account, the
-        // process's shared mm (mmap/touch/munmap or just LLC state),
-        // and — via minor faults and munmap frees — the frame
-        // allocator. Apache-style per-request munmaps also publish
-        // LATR states (or take the fallback path), which tick sweep
-        // plans speculate over. No compute() phase, so no reads.
-        fp.writeCore(core());
-        fp.writeSpace(&task()->mm());
-        fp.writeGlobal(SimResource::FrameAllocator);
-        if (config_.mmapPerRequest)
-            fp.writeGlobal(SimResource::LatrPublish);
-        return true;
-    }
-
   private:
     /** The request's CPU work plus its cache footprint. */
     Duration

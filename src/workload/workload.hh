@@ -62,36 +62,6 @@ class CoreActor
      */
     virtual Duration step() = 0;
 
-    /**
-     * Declare the conflict footprint of one step() into @p fp and
-     * return true, or return false (the default) to leave the step
-     * undeclared — a barrier under the parallel batched engine.
-     * The footprint must cover everything step() mutates that
-     * another event's compute() phase might read (commit phases
-     * always replay in (tick, seq) order, so write/write overlap
-     * between declared events is fine).
-     */
-    virtual bool stepFootprint(EventFootprint &fp) const
-    {
-        (void)fp;
-        return false;
-    }
-
-    /**
-     * Optional read-only speculation for the next step(), run in the
-     * step event's compute() phase — possibly on a worker thread,
-     * concurrently with other events' computes. It may read only
-     * state stepFootprint() declares read, must leave every member
-     * the step mutates (including RNGs) untouched, and stores its
-     * result in actor-local plan scratch that step() validates
-     * against a resource epoch and may discard. The sequential
-     * engine never calls it.
-     */
-    virtual void stepCompute() {}
-
-    /** Rough cost of stepCompute() (0 = trivial, run inline). */
-    virtual unsigned stepComputeWeight() const { return 0; }
-
     Machine &machine() { return machine_; }
     Kernel &kernel() { return machine_.kernel(); }
     CoreId core() const { return task_->core(); }
@@ -102,15 +72,6 @@ class CoreActor
       public:
         explicit StepEvent(CoreActor *actor) : actor_(actor) {}
         void process() override { actor_->doStep(); }
-        bool footprint(EventFootprint &fp) const override
-        {
-            return actor_->stepFootprint(fp);
-        }
-        void compute() override { actor_->stepCompute(); }
-        unsigned computeWeight() const override
-        {
-            return actor_->stepComputeWeight();
-        }
         const char *name() const override { return "actor-step"; }
 
       private:

@@ -180,37 +180,6 @@ TEST(AllocFree, LazyCacheSteadyStateReadWriteLoop)
     EXPECT_GT(cache.writes(), 0u);
 }
 
-TEST(AllocFree, LazyCacheSteadyStateWithSimThreads)
-{
-    // The same hot loop under the parallel engine at --sim-threads=4:
-    // batch formation (members, footprints, write/read unions), the
-    // executor's claim protocol, and the per-lane lambda freelists
-    // must all run out of storage grown during warmup. This is the
-    // allocation-free claim for the per-worker pools — steady-state
-    // lambda churn recycles wrappers lane-locally instead of hitting
-    // the heap.
-    LazyCacheConfig cfg;
-    cfg.cachePages = 512;
-    cfg.hotFraction = 0.25;
-    cfg.readers = 4;
-    cfg.writers = 2;
-    cfg.burstPages = 0;
-    MachineConfig mc = MachineConfig::commodity2S16C();
-    mc.simThreads = 4;
-    Machine machine(mc, PolicyKind::Latr);
-    LazyCacheWorkload cache(machine, cfg);
-    cache.start();
-    machine.run(5 * kMsec); // warmup: faults, TLB fills, pool growth
-
-    const std::uint64_t before = allocsNow();
-    const std::uint64_t readsBefore = cache.reads();
-    machine.run(20 * kMsec);
-    EXPECT_EQ(allocsNow() - before, 0u)
-        << "threaded lazycache steady-state loop allocated";
-    EXPECT_GT(cache.reads(), readsBefore);
-    EXPECT_GT(cache.writes(), 0u);
-}
-
 TEST(AllocFree, LatencyHistogramRecordAndQueryAreAllocFree)
 {
     // The serve subsystem records every request completion into this

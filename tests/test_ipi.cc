@@ -109,9 +109,7 @@ TEST_F(IpiFixture, DeliveryCallbackFiresAtDeliveryTickPerTarget)
     std::map<CoreId, Tick> delivered;
     IpiBroadcastResult r = fabric.broadcast(
         0, m, 0, [](CoreId) { return 0; },
-        [&](CoreId c, Tick at, const Tlb::InvalidationPlan *) {
-            delivered[c] = at;
-        });
+        [&](CoreId c, Tick at) { delivered[c] = at; });
     EXPECT_TRUE(delivered.empty()); // nothing until events run
     queue.run();
     ASSERT_EQ(delivered.size(), 2u);

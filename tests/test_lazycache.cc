@@ -1,16 +1,13 @@
 // Tests for the MADV_FREE lazy-reclaim page-cache workload
-// (src/workload/lazycache): ring overflow actually reached, digests
-// byte-identical across engine thread counts, the steps genuinely
-// batched (not barriers) under the parallel engine, and a
-// lazycache-shaped free-then-reuse script held architecturally
-// equivalent and staleness-clean across all four policies by the
-// differential harness.
+// (src/workload/lazycache): ring overflow actually reached, the Linux
+// policy running the same loop synchronously, and a lazycache-shaped
+// free-then-reuse script held architecturally equivalent and
+// staleness-clean across every policy by the differential harness.
 
 #include <gtest/gtest.h>
 
 #include "check/executor.hh"
 #include "check/script.hh"
-#include "sim/parallel_exec.hh"
 #include "test_helpers.hh"
 #include "workload/lazycache.hh"
 
@@ -68,44 +65,6 @@ TEST(LazyCache, LinuxPolicyRunsTheSameLoopSynchronously)
     EXPECT_EQ(r.fallbackIpis, 0u); // no ring to overflow
     EXPECT_EQ(machine.checker()->violations(), 0u)
         << machine.checker()->firstViolation();
-}
-
-TEST(LazyCache, DigestIdenticalAcrossSimThreadCounts)
-{
-    std::uint64_t digests[3];
-    std::uint64_t reads[3];
-    const unsigned threads[3] = {0, 1, 4};
-    for (int i = 0; i < 3; ++i) {
-        MachineConfig config = MachineConfig::commodity2S16C();
-        config.simThreads = threads[i];
-        Machine machine(config, PolicyKind::Latr);
-        LazyCacheWorkload cache(machine, smallScenario());
-        LazyCacheResult r = cache.measure(5 * kMsec, 20 * kMsec);
-        digests[i] = r.digest;
-        reads[i] = r.reads;
-        EXPECT_EQ(machine.checker()->violations(), 0u);
-    }
-    EXPECT_EQ(digests[0], digests[1]);
-    EXPECT_EQ(digests[0], digests[2]);
-    EXPECT_EQ(reads[0], reads[2]);
-}
-
-TEST(LazyCache, StepsDeclareFootprintsAndActuallyBatch)
-{
-    // The workload's reason for declaring footprints: its steps must
-    // ride the batched engine, not serialize it. Undeclared events
-    // (reclaim lambdas, IPI deliveries) may still be barriers, but
-    // the bulk of the event stream is actor steps.
-    MachineConfig config = MachineConfig::commodity2S16C();
-    config.simThreads = 4;
-    Machine machine(config, PolicyKind::Latr);
-    LazyCacheWorkload cache(machine, smallScenario());
-    cache.measure(5 * kMsec, 20 * kMsec);
-    ASSERT_NE(machine.parallelExecutor(), nullptr);
-    const ParallelExecutor::Stats &st =
-        machine.parallelExecutor()->stats();
-    EXPECT_GT(st.batchedEvents, 0u);
-    EXPECT_GT(st.batchedEvents, st.barrierEvents);
 }
 
 /**
@@ -172,25 +131,6 @@ TEST(LazyCacheCheck, OverflowBurstStaysEquivalentToo)
         if (run.policy == PolicyKind::Latr)
             EXPECT_GT(run.latrFallbackIpis, 0u);
     }
-}
-
-TEST(LazyCacheCheck, SimThreads1And4AgreeOnArchitecturalState)
-{
-    const Script script = lazycacheScript(70, true);
-    ExecOptions seq;
-    seq.simThreads = 1;
-    ExecOptions par;
-    par.simThreads = 4;
-    const RunResult a = runScript(script, PolicyKind::Latr, seq);
-    const RunResult b = runScript(script, PolicyKind::Latr, par);
-    EXPECT_TRUE(a.clean());
-    EXPECT_TRUE(b.clean());
-    const DiffResult diff = diffStates(a, b);
-    EXPECT_TRUE(diff.equivalent) << diff.divergence;
-    // Stronger than equivalence: the engines replay the identical
-    // schedule, so even the fallback count matches exactly.
-    EXPECT_EQ(a.latrFallbackIpis, b.latrFallbackIpis);
-    EXPECT_EQ(a.regionSig, b.regionSig);
 }
 
 } // namespace

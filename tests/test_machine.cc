@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "machine/machine_stats.hh"
 #include "test_helpers.hh"
 
@@ -9,6 +11,17 @@ namespace latr
 {
 namespace
 {
+
+// latrbench/probe.cc wraps Machine's constructor at link time and
+// reads its by-value MachineConfig through a pointer. The Itanium ABI
+// passes a by-value class that way only while it is not trivially
+// copyable; today `std::string name` is what keeps it so.
+static_assert(!std::is_trivially_copyable_v<MachineConfig>,
+              "latrbench/probe.cc reads Machine's by-value MachineConfig "
+              "through a pointer, which the Itanium ABI passes only for "
+              "a non-trivially-copyable class; keep MachineConfig "
+              "non-trivially copyable (std::string name does it) or "
+              "update the wrapper");
 
 TEST(Machine, BuildsCommodityPreset)
 {

@@ -1,14 +1,12 @@
 // Integration tests for the open-loop serving subsystem:
 // generator determinism (same seed => byte-identical .latrace),
-// record/replay digest equality across --sim-threads counts, tenant
-// churn accounting, and the paper's headline ordering (LATR's tail
-// below synchronous Linux's).
+// record/replay digest equality, tenant churn accounting, and the
+// paper's headline ordering (LATR's tail below synchronous Linux's).
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "check/executor.hh"
 #include "machine/machine.hh"
 #include "serve/latrace.hh"
 #include "serve/serve.hh"
@@ -35,11 +33,9 @@ smallConfig()
 }
 
 ServeResult
-runOn(PolicyKind kind, unsigned sim_threads, const Latrace &trace)
+runOn(PolicyKind kind, const Latrace &trace)
 {
-    MachineConfig config = MachineConfig::commodity2S16C();
-    config.simThreads = sim_threads;
-    Machine machine(config, kind);
+    Machine machine(MachineConfig::commodity2S16C(), kind);
     return runServeTrace(machine, trace);
 }
 
@@ -74,7 +70,7 @@ TEST(Serve, GeneratorHitsTheConfiguredRate)
 TEST(Serve, EveryArrivalIsAccountedFor)
 {
     const Latrace trace = generateServeTrace(smallConfig());
-    const ServeResult r = runOn(PolicyKind::Latr, 0, trace);
+    const ServeResult r = runOn(PolicyKind::Latr, trace);
     EXPECT_GT(r.completed, 0u);
     EXPECT_GT(r.tenantChurns, 0u);
     // Open-loop drains fully: every arrival either completed or was
@@ -97,32 +93,12 @@ TEST(Serve, ReplayOfRecordingMatchesOriginalRun)
         latraceParse(latraceSerialize(recorded), &replayed, &error))
         << error;
 
-    const ServeResult a = runOn(PolicyKind::Latr, 0, recorded);
-    const ServeResult b = runOn(PolicyKind::Latr, 0, replayed);
+    const ServeResult a = runOn(PolicyKind::Latr, recorded);
+    const ServeResult b = runOn(PolicyKind::Latr, replayed);
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.latency.digest(), b.latency.digest());
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.p999(), b.p999());
-}
-
-TEST(Serve, DigestsByteIdenticalAcrossSimThreads)
-{
-    // The acceptance bar: record once, replay under every policy at
-    // --sim-threads 1 and 4, and the digests (latency histogram plus
-    // the machine's full stat dump) match the sequential engine's.
-    ServeConfig config = smallConfig();
-    config.duration = 15 * kMsec;
-    const Latrace trace = generateServeTrace(config);
-    for (PolicyKind kind : allPolicyKinds()) {
-        const ServeResult base = runOn(kind, 0, trace);
-        for (unsigned threads : {1u, 4u}) {
-            const ServeResult run = runOn(kind, threads, trace);
-            EXPECT_EQ(run.digest, base.digest)
-                << policyKindName(kind) << " sim-threads " << threads;
-            EXPECT_EQ(run.latency.digest(), base.latency.digest())
-                << policyKindName(kind) << " sim-threads " << threads;
-        }
-    }
 }
 
 TEST(Serve, LatrTailBeatsSynchronousLinux)
@@ -131,8 +107,8 @@ TEST(Serve, LatrTailBeatsSynchronousLinux)
     // load, LATR's lazy shootdowns keep the p99 below Linux's
     // synchronous IPI path on the same trace.
     const Latrace trace = generateServeTrace(smallConfig());
-    const ServeResult linux_r = runOn(PolicyKind::LinuxSync, 0, trace);
-    const ServeResult latr_r = runOn(PolicyKind::Latr, 0, trace);
+    const ServeResult linux_r = runOn(PolicyKind::LinuxSync, trace);
+    const ServeResult latr_r = runOn(PolicyKind::Latr, trace);
     EXPECT_LT(latr_r.p99(), linux_r.p99())
         << "latr p99 " << latr_r.p99() << " vs linux p99 "
         << linux_r.p99();
@@ -145,7 +121,7 @@ TEST(Serve, ChurnlessTraceDropsNothing)
     config.churnInterval = 0;
     config.duration = 10 * kMsec;
     const Latrace trace = generateServeTrace(config);
-    const ServeResult r = runOn(PolicyKind::Latr, 0, trace);
+    const ServeResult r = runOn(PolicyKind::Latr, trace);
     EXPECT_EQ(r.tenantChurns, 0u);
     EXPECT_EQ(r.droppedChurn, 0u);
     EXPECT_EQ(r.completed, r.arrivals);
@@ -159,7 +135,7 @@ TEST(Serve, WorkerCountClampsToMachine)
     config.workers = 64; // commodity2S16C has 16 cores
     config.duration = 5 * kMsec;
     const Latrace trace = generateServeTrace(config);
-    const ServeResult r = runOn(PolicyKind::Latr, 0, trace);
+    const ServeResult r = runOn(PolicyKind::Latr, trace);
     EXPECT_EQ(r.completed + r.droppedChurn, r.arrivals);
 }
 
