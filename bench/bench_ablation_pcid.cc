@@ -108,8 +108,9 @@ runCase(PolicyKind policy, bool pcid)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_ablation_pcid", argc, argv, {});
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: PCIDs",
                   "two processes per core, with and without PCIDs",

@@ -15,8 +15,9 @@
 using namespace latr;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_ablation_ring", argc, argv, {});
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: ring size",
                   "LATR states per core vs. fallback-IPI rate",

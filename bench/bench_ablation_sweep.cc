@@ -46,8 +46,9 @@ runCase(bool sweep_at_switch)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_ablation_sweep", argc, argv, {});
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: sweep sites",
                   "tick-only sweeps vs. tick+context-switch sweeps",

@@ -37,8 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -376,40 +374,6 @@ runBigMachine(bool no_fastpath, BigMachineCounters &counters)
     return {"big_machine", events, wall, setup};
 }
 
-/**
- * Pull every scenario's events_per_sec out of a BENCH_engine.json
- * written by an earlier run: (name, events_per_sec) in file order.
- * An empty result means the file was unreadable or held no rows.
- */
-std::vector<std::pair<std::string, double>>
-baselineScenarios(const std::string &path)
-{
-    std::vector<std::pair<std::string, double>> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    std::size_t at = 0;
-    while ((at = text.find("\"scenario\": \"", at)) !=
-           std::string::npos) {
-        at += 13;
-        const std::size_t end = text.find('"', at);
-        if (end == std::string::npos)
-            break;
-        const std::string name = text.substr(at, end - at);
-        const std::size_t eps =
-            text.find("\"events_per_sec\":", end);
-        if (eps == std::string::npos)
-            break;
-        out.emplace_back(
-            name, std::strtod(text.c_str() + eps + 17, nullptr));
-        at = end;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -418,20 +382,12 @@ main(int argc, char **argv)
     bench::rejectUnknownArgs("bench_engine", argc, argv,
                              {"--json=", "--check-against=",
                               "--max-regression=", "--no-fastpath"});
-    std::string checkAgainst;
-    double maxRegression = 0.30;
+    const bench::GateOptions gate =
+        bench::gateOptionsFromArgs("bench_engine", argc, argv);
     bool noFastpath = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--check-against=", 16) == 0)
-            checkAgainst = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--max-regression=", 17) == 0)
-            maxRegression = std::atof(argv[i] + 17);
-        else if (std::strcmp(argv[i], "--no-fastpath") == 0)
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--no-fastpath") == 0)
             noFastpath = true;
-    }
-    // Accept either a fraction (0.30) or a percentage (30).
-    if (maxRegression > 1.0)
-        maxRegression /= 100.0;
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Engine", "simulation-engine throughput", config);
@@ -528,59 +484,21 @@ main(int argc, char **argv)
         "munmap_storm %.0f events/sec, big_machine %.0f events/sec, "
         "pred IPI fan-out -%.1f%% vs LATR",
         stormEps, bigEps, 100.0 * big.reductionVsLatr());
-    json.baselineFile(checkAgainst);
+    json.baselineFile(gate.baseline);
     json.write(bench::jsonPathFromArgs(argc, argv));
 
-    if (!checkAgainst.empty()) {
-        const auto baseline = baselineScenarios(checkAgainst);
-        if (baseline.empty()) {
-            std::fprintf(stderr,
-                         "bench_engine: cannot read any scenario "
-                         "rows from baseline '%s'\n",
-                         checkAgainst.c_str());
-            return 2;
-        }
-        // Gate only the machine scenarios: the churn
-        // microbenchmarks are too noisy for a hard floor.
-        auto gated = [&](const std::string &name) {
+    std::vector<std::pair<std::string, double>> measured;
+    for (const ScenarioResult &r : results)
+        measured.emplace_back(r.name, r.eventsPerSec());
+    // Gate only the machine scenarios: the churn microbenchmarks are
+    // too noisy for a hard floor.
+    return bench::checkBaseline(
+        "bench_engine", gate, "events_per_sec", bench::GateBound::Floor,
+        measured,
+        "perf gate [%s]: %.0f events/sec vs baseline %.0f (floor "
+        "%.0f): %s\n",
+        [](const std::string &name) {
             return name.compare(0, 12, "munmap_storm") == 0 ||
                    name.compare(0, 11, "big_machine") == 0;
-        };
-        bool failed = false;
-        for (const auto &base : baseline) {
-            if (!gated(base.first))
-                continue;
-            const ScenarioResult *measured = nullptr;
-            for (const ScenarioResult &r : results)
-                if (base.first == r.name)
-                    measured = &r;
-            if (!measured) {
-                // A baseline scenario this run never produced would
-                // otherwise pass silently — the exact failure mode
-                // that hides a renamed or dropped gate.
-                std::fprintf(
-                    stderr,
-                    "bench_engine: baseline scenario '%s' missing "
-                    "from this run (have:",
-                    base.first.c_str());
-                for (const ScenarioResult &r : results)
-                    std::fprintf(stderr, " %s", r.name);
-                std::fprintf(stderr, "); refresh the baseline\n");
-                return 2;
-            }
-            const double floor = base.second * (1.0 - maxRegression);
-            std::printf("perf gate [%s]: %.0f events/sec vs baseline "
-                        "%.0f (floor %.0f): %s\n",
-                        base.first.c_str(), measured->eventsPerSec(),
-                        base.second, floor,
-                        measured->eventsPerSec() >= floor
-                            ? "ok"
-                            : "REGRESSION");
-            if (measured->eventsPerSec() < floor)
-                failed = true;
-        }
-        if (failed)
-            return 1;
-    }
-    return 0;
+        });
 }

@@ -63,8 +63,9 @@ munmap2M(PolicyKind kind, bool huge)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_ext_hugepages", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Extension: huge pages",
                   "munmap(2 MiB) as 512 base pages vs. one huge page",

@@ -52,8 +52,9 @@ runCase(Assist assist)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_ext_hw_assist", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Extension: hardware assists for LATR",
                   "CAT-partitioned states and scratchpad states",

@@ -178,8 +178,9 @@ report(const char *name, const LazyOpResult &linux_r,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_ext_lazyops", argc, argv, {});
     const MachineConfig config = smallConfig();
     bench::banner("Extension: lazy-capable operations",
                   "swap, deduplication, compaction (table 1 rows)",

@@ -55,6 +55,9 @@ capturePoint(const bench::TraceOptions &trace)
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_fig06_munmap_cores", argc, argv,
+                             {"--json=", "--jobs=", "--trace=",
+                              "--trace-text=", "--trace-capacity="});
     const bench::TraceOptions trace =
         bench::traceOptionsFromArgs(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();

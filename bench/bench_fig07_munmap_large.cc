@@ -34,6 +34,8 @@ runPoint(PolicyKind policy, unsigned cores)
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_fig07_munmap_large", argc, argv,
+                             {"--json=", "--jobs="});
     const MachineConfig config = MachineConfig::largeNuma8S120C();
     bench::banner("Figure 7",
                   "munmap(1 page) cost vs. cores, 8-socket machine",

@@ -36,6 +36,8 @@ runPoint(PolicyKind policy, std::uint64_t pages)
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_fig08_munmap_pages", argc, argv,
+                             {"--json=", "--jobs="});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 8",
                   "munmap cost vs. page count (16 cores)", config);

@@ -30,8 +30,9 @@ runPoint(PolicyKind policy, unsigned workers)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_fig09_apache", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 9 (and Figure 1)",
                   "Apache requests/s and shootdowns/s vs. cores",

@@ -13,8 +13,9 @@
 using namespace latr;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_fig10_parsec", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 10",
                   "PARSEC normalized runtime + shootdowns/s (16 cores)",

@@ -12,8 +12,9 @@
 using namespace latr;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_fig12_overhead", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 12",
                   "overhead on applications with few shootdowns",

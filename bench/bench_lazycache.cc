@@ -14,10 +14,6 @@
 // other argument exits 2 before anything runs.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,35 +45,6 @@ runPolicy(const std::string &name, PolicyKind kind,
     return CacheRow{name, cache.measure(kWarmup, kMeasured)};
 }
 
-/** (scenario, events_per_sec) rows of an earlier BENCH json. */
-std::vector<std::pair<std::string, double>>
-baselineScenarios(const std::string &path)
-{
-    std::vector<std::pair<std::string, double>> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    std::size_t at = 0;
-    while ((at = text.find("\"scenario\": \"", at)) !=
-           std::string::npos) {
-        at += 13;
-        const std::size_t end = text.find('"', at);
-        if (end == std::string::npos)
-            break;
-        const std::string name = text.substr(at, end - at);
-        const std::size_t eps = text.find("\"events_per_sec\":", end);
-        if (eps == std::string::npos)
-            break;
-        out.emplace_back(
-            name, std::strtod(text.c_str() + eps + 17, nullptr));
-        at = end;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -86,16 +53,8 @@ main(int argc, char **argv)
     bench::rejectUnknownArgs("bench_lazycache", argc, argv,
                              {"--json=", "--check-against=",
                               "--max-regression="});
-    std::string checkAgainst;
-    double maxRegression = 0.30;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--check-against=", 16) == 0)
-            checkAgainst = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--max-regression=", 17) == 0)
-            maxRegression = std::atof(argv[i] + 17);
-    }
-    if (maxRegression > 1.0)
-        maxRegression /= 100.0;
+    const bench::GateOptions gate =
+        bench::gateOptionsFromArgs("bench_lazycache", argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner(
@@ -202,48 +161,15 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(latrFallbacks));
     json.headline("LATR %.2fM events/s vs Linux %.2fM events/s",
                   latrEvents / 1e6, linuxEvents / 1e6);
-    json.baselineFile(checkAgainst);
+    json.baselineFile(gate.baseline);
     json.write(bench::jsonPathFromArgs(argc, argv));
 
-    if (!checkAgainst.empty()) {
-        const auto baseline = baselineScenarios(checkAgainst);
-        if (baseline.empty()) {
-            std::fprintf(stderr,
-                         "bench_lazycache: cannot read any scenario "
-                         "rows from baseline '%s'\n",
-                         checkAgainst.c_str());
-            return 2;
-        }
-        bool failed = false;
-        for (const auto &base : baseline) {
-            const CacheRow *measured = nullptr;
-            for (const CacheRow &row : rows)
-                if (base.first == row.name)
-                    measured = &row;
-            if (!measured) {
-                std::fprintf(
-                    stderr,
-                    "bench_lazycache: baseline scenario '%s' missing "
-                    "from this run (have:",
-                    base.first.c_str());
-                for (const CacheRow &row : rows)
-                    std::fprintf(stderr, " %s", row.name.c_str());
-                std::fprintf(stderr, "); refresh the baseline\n");
-                return 2;
-            }
-            // Throughput gates downward: regression = events/s below
-            // the baseline's floor.
-            const double floor = base.second * (1.0 - maxRegression);
-            const double got = measured->result.eventsPerSec;
-            std::printf("throughput gate [%s]: %.0f events/s vs "
-                        "baseline %.0f (floor %.0f): %s\n",
-                        base.first.c_str(), got, base.second, floor,
-                        got >= floor ? "ok" : "REGRESSION");
-            if (got < floor)
-                failed = true;
-        }
-        if (failed)
-            return 1;
-    }
-    return 0;
+    std::vector<std::pair<std::string, double>> measured;
+    for (const CacheRow &row : rows)
+        measured.emplace_back(row.name, row.result.eventsPerSec);
+    return bench::checkBaseline(
+        "bench_lazycache", gate, "events_per_sec",
+        bench::GateBound::Floor, measured,
+        "throughput gate [%s]: %.0f events/s vs baseline %.0f (floor "
+        "%.0f): %s\n");
 }

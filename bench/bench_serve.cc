@@ -19,8 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,35 +56,6 @@ runPolicy(const std::string &name, PolicyKind kind,
     return ServeRow{name, result, wall};
 }
 
-/** (scenario, p99_us) rows of an earlier BENCH_serve.json. */
-std::vector<std::pair<std::string, double>>
-baselineScenarios(const std::string &path)
-{
-    std::vector<std::pair<std::string, double>> out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    std::size_t at = 0;
-    while ((at = text.find("\"scenario\": \"", at)) !=
-           std::string::npos) {
-        at += 13;
-        const std::size_t end = text.find('"', at);
-        if (end == std::string::npos)
-            break;
-        const std::string name = text.substr(at, end - at);
-        const std::size_t p99 = text.find("\"p99_us\":", end);
-        if (p99 == std::string::npos)
-            break;
-        out.emplace_back(
-            name, std::strtod(text.c_str() + p99 + 9, nullptr));
-        at = end;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -95,19 +64,12 @@ main(int argc, char **argv)
     bench::rejectUnknownArgs("bench_serve", argc, argv,
                              {"--json=", "--check-against=",
                               "--max-regression=", "--per-tenant"});
-    std::string checkAgainst;
-    double maxRegression = 0.30;
+    const bench::GateOptions gate =
+        bench::gateOptionsFromArgs("bench_serve", argc, argv);
     ServeOptions serveOptions;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--check-against=", 16) == 0)
-            checkAgainst = argv[i] + 16;
-        else if (std::strncmp(argv[i], "--max-regression=", 17) == 0)
-            maxRegression = std::atof(argv[i] + 17);
-        else if (std::strcmp(argv[i], "--per-tenant") == 0)
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--per-tenant") == 0)
             serveOptions.perTenantLatency = true;
-    }
-    if (maxRegression > 1.0)
-        maxRegression /= 100.0;
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Serve",
@@ -216,49 +178,15 @@ main(int argc, char **argv)
         latrP99, linuxP99, latrP99 > 0 ? linuxP99 / latrP99 : 0.0,
         predP99,
         latrP99 > 0 ? 100.0 * (predP99 - latrP99) / latrP99 : 0.0);
-    json.baselineFile(checkAgainst);
+    json.baselineFile(gate.baseline);
     json.write(bench::jsonPathFromArgs(argc, argv));
 
-    if (!checkAgainst.empty()) {
-        const auto baseline = baselineScenarios(checkAgainst);
-        if (baseline.empty()) {
-            std::fprintf(stderr,
-                         "bench_serve: cannot read any scenario rows "
-                         "from baseline '%s'\n",
-                         checkAgainst.c_str());
-            return 2;
-        }
-        bool failed = false;
-        for (const auto &base : baseline) {
-            const ServeRow *measured = nullptr;
-            for (const ServeRow &row : rows)
-                if (base.first == row.name)
-                    measured = &row;
-            if (!measured) {
-                std::fprintf(
-                    stderr,
-                    "bench_serve: baseline scenario '%s' missing "
-                    "from this run (have:",
-                    base.first.c_str());
-                for (const ServeRow &row : rows)
-                    std::fprintf(stderr, " %s", row.name.c_str());
-                std::fprintf(stderr, "); refresh the baseline\n");
-                return 2;
-            }
-            // Tail latency gates upward: regression = p99 above the
-            // baseline's ceiling.
-            const double ceiling =
-                base.second * (1.0 + maxRegression);
-            const double got = bench::us(measured->result.p99());
-            std::printf("tail gate [%s]: p99 %.1f us vs baseline "
-                        "%.1f (ceiling %.1f): %s\n",
-                        base.first.c_str(), got, base.second, ceiling,
-                        got <= ceiling ? "ok" : "REGRESSION");
-            if (got > ceiling)
-                failed = true;
-        }
-        if (failed)
-            return 1;
-    }
-    return 0;
+    std::vector<std::pair<std::string, double>> measured;
+    for (const ServeRow &row : rows)
+        measured.emplace_back(row.name, bench::us(row.result.p99()));
+    return bench::checkBaseline(
+        "bench_serve", gate, "p99_us", bench::GateBound::Ceiling,
+        measured,
+        "tail gate [%s]: p99 %.1f us vs baseline %.1f (ceiling "
+        "%.1f): %s\n");
 }

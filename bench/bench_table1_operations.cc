@@ -41,6 +41,8 @@ const OperationRow kRows[] = {
 int
 main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_table1_operations", argc, argv,
+                             {"--json=", "--jobs="});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 1",
                   "virtual-address operations and lazy feasibility",

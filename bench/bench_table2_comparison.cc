@@ -26,8 +26,9 @@ printRow(const char *name, const PolicyCapabilities &caps)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_table2_comparison", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 2", "comparison of shootdown approaches",
                   config);

@@ -61,8 +61,9 @@ missRatio(PolicyKind policy, const CacheCase &c)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownArgs("bench_table4_cache", argc, argv, {});
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 4", "application LLC miss ratio", config);
     bench::paperExpectation(

@@ -9,12 +9,15 @@
 #ifndef LATR_BENCH_BENCH_UTIL_HH_
 #define LATR_BENCH_BENCH_UTIL_HH_
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <initializer_list>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -205,18 +208,19 @@ class JsonWriter
         headline_ = buf;
     }
 
-    /** Write the document; no-op when @p path is empty. */
-    bool
+    /**
+     * Write the document; no-op when @p path is empty. A file that
+     * cannot be written exits 2: a requested result must not go
+     * missing silently.
+     */
+    void
     write(const std::string &path) const
     {
         if (path.empty())
-            return true;
+            return;
         std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "json: cannot write '%s'\n",
-                         path.c_str());
-            return false;
-        }
+        if (!f)
+            cannotWrite(path);
         std::fprintf(f, "{\n  \"experiment\": %s,\n",
                      quote(experiment_).c_str());
         std::fprintf(f, "  \"description\": %s,\n",
@@ -242,11 +246,19 @@ class JsonWriter
             std::fprintf(f, "}");
         }
         std::fprintf(f, "\n  ]\n}\n");
-        std::fclose(f);
-        return true;
+        const bool failed = std::ferror(f) != 0;
+        if (std::fclose(f) != 0 || failed)
+            cannotWrite(path);
     }
 
   private:
+    [[noreturn]] static void
+    cannotWrite(const std::string &path)
+    {
+        std::fprintf(stderr, "json: cannot write '%s'\n", path.c_str());
+        std::exit(2);
+    }
+
     static std::string
     quote(const std::string &s)
     {
@@ -313,6 +325,152 @@ rejectUnknownArgs(const char *bench, int argc, char **argv,
     }
 }
 
+/**
+ * The `--check-against=FILE` and `--max-regression=X` options of a
+ * gated bench. X is a fraction (0.30) or a percentage (30).
+ */
+struct GateOptions
+{
+    /** Baseline BENCH_*.json to gate against; empty = ungated. */
+    std::string baseline;
+    double maxRegression = 0.30;
+};
+
+/**
+ * Parse the gate options from @p argv. A --max-regression that is not
+ * a non-negative number exits 2 before the bench simulates.
+ */
+inline GateOptions
+gateOptionsFromArgs(const char *bench, int argc, char **argv)
+{
+    GateOptions opts;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--check-against=", 16) == 0) {
+            opts.baseline = argv[i] + 16;
+            continue;
+        }
+        if (std::strncmp(argv[i], "--max-regression=", 17) != 0)
+            continue;
+        const char *text = argv[i] + 17;
+        char *end = nullptr;
+        const double value = std::strtod(text, &end);
+        if (end == text || *end != '\0' || !std::isfinite(value) ||
+            value < 0) {
+            std::fprintf(stderr,
+                         "%s: --max-regression wants a non-negative "
+                         "number, got '%s'\n",
+                         bench, text);
+            std::exit(2);
+        }
+        opts.maxRegression = value > 1.0 ? value / 100.0 : value;
+    }
+    return opts;
+}
+
+/** The side of its baseline a gated metric must stay on. */
+enum class GateBound
+{
+    Floor,    ///< higher is better: fail below base * (1 - max)
+    Ceiling,  ///< lower is better: fail above base * (1 + max)
+};
+
+/**
+ * (scenario, value of @p key) for every row of the BENCH_*.json at
+ * @p path, in file order. Empty when the file is unreadable or holds
+ * no rows.
+ */
+inline std::vector<std::pair<std::string, double>>
+baselineScenarios(const std::string &path, const char *key)
+{
+    std::vector<std::pair<std::string, double>> out;
+    std::ifstream in(path);
+    if (!in)
+        return out;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string text = ss.str();
+    const std::string field = std::string("\"") + key + "\":";
+    std::size_t at = 0;
+    while ((at = text.find("\"scenario\": \"", at)) !=
+           std::string::npos) {
+        at += 13;
+        const std::size_t end = text.find('"', at);
+        if (end == std::string::npos)
+            break;
+        const std::string name = text.substr(at, end - at);
+        const std::size_t value = text.find(field, end);
+        if (value == std::string::npos)
+            break;
+        out.emplace_back(name, std::strtod(text.c_str() + value +
+                                               field.size(),
+                                           nullptr));
+        at = end;
+    }
+    return out;
+}
+
+/**
+ * Gate this run's @p measured (scenario, value) rows against the
+ * baseline's @p key: every baseline scenario that @p gated accepts
+ * (all of them when it is null) must be in the run and stay on its
+ * @p bound side, within the allowed regression. Prints one line per
+ * gated scenario with @p line_format, which takes the scenario, the
+ * measured value, the baseline value, the bound and the verdict.
+ *
+ * @return 0 if every gate holds or the run is ungated, 1 on a
+ *         regression, 2 when the baseline is unreadable or names a
+ *         scenario the run lacks.
+ */
+inline int
+checkBaseline(const char *bench, const GateOptions &opts,
+              const char *key, GateBound bound,
+              const std::vector<std::pair<std::string, double>> &measured,
+              const char *line_format,
+              bool (*gated)(const std::string &) = nullptr)
+{
+    if (opts.baseline.empty())
+        return 0;
+    const auto baseline = baselineScenarios(opts.baseline, key);
+    if (baseline.empty()) {
+        std::fprintf(stderr,
+                     "%s: cannot read any scenario rows from baseline "
+                     "'%s'\n",
+                     bench, opts.baseline.c_str());
+        return 2;
+    }
+    bool failed = false;
+    for (const auto &base : baseline) {
+        if (gated && !gated(base.first))
+            continue;
+        const std::pair<std::string, double> *got = nullptr;
+        for (const auto &row : measured)
+            if (row.first == base.first)
+                got = &row;
+        if (!got) {
+            // A baseline scenario this run never produced would
+            // otherwise pass silently — the exact failure mode that
+            // hides a renamed or dropped gate.
+            std::fprintf(stderr,
+                         "%s: baseline scenario '%s' missing from "
+                         "this run (have:",
+                         bench, base.first.c_str());
+            for (const auto &row : measured)
+                std::fprintf(stderr, " %s", row.first.c_str());
+            std::fprintf(stderr, "); refresh the baseline\n");
+            return 2;
+        }
+        const bool floor = bound == GateBound::Floor;
+        const double limit =
+            base.second * (floor ? 1.0 - opts.maxRegression
+                                 : 1.0 + opts.maxRegression);
+        const bool ok =
+            floor ? got->second >= limit : got->second <= limit;
+        std::printf(line_format, base.first.c_str(), got->second,
+                    base.second, limit, ok ? "ok" : "REGRESSION");
+        failed = failed || !ok;
+    }
+    return failed ? 1 : 0;
+}
 
 /**
  * Tracing knobs shared by the benches: parsed from the bench's argv

@@ -1,4 +1,4 @@
-// latrsim_check: the conformance-harness front end — fuzz the four
+// latrsim_check: the conformance-harness front end — fuzz the five
 // TLB-coherence policies against the differential executor and the
 // bounded-staleness oracle, and replay (minimized) failure scripts.
 //
@@ -30,7 +30,7 @@ struct Options
     unsigned fuzz = 0;
     unsigned digest = 0;
     std::string replayPath;
-    std::string policy; // empty = all four
+    std::string policy; // empty = all five
     std::uint64_t seed = 1;
     unsigned ops = 400;
     int pcid = -1; // -1 = alternate (fuzz) / script header (replay)
@@ -209,7 +209,7 @@ replay(const Options &opts, const ExecOptions &exec)
     const std::string reason = checkScript(script, exec);
     if (reason.empty()) {
         std::printf("replay of %s (%zu ops): clean and equivalent "
-                    "under all four policies\n",
+                    "under all five policies\n",
                     opts.replayPath.c_str(), script.ops.size());
         return 0;
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The replayable shrinking fuzzer: generates random op-scripts,
- * replays each under all four policies with both oracles attached,
+ * replays each under all five policies with both oracles attached,
  * and on any invariant / staleness / differential failure minimizes
  * the script with greedy delta debugging, dumps it (plus seed) to
  * disk, and re-runs the failing policy with src/trace/ capture so

@@ -47,8 +47,7 @@ IpiFabric::runDelivery(DeliveryEvent *ev)
 
 IpiBroadcastResult
 IpiFabric::broadcast(CoreId initiator, const CpuMask &targets,
-                     Tick start,
-                     std::function<Duration(CoreId)> handler_cost,
+                     Tick start, Duration handler_cost,
                      DeliverFn on_deliver)
 {
     if (start < queue_.now())
@@ -58,6 +57,7 @@ IpiFabric::broadcast(CoreId initiator, const CpuMask &targets,
     result.sendsDone = start;
 
     const bool tracing = trace_ && trace_->enabled();
+    const Duration handler = cost_.ipiHandlerFixed + handler_cost;
 
     // Walk the mask a 64-bit word at a time: a 119-target broadcast
     // on the large machine pays two word loads up front instead of a
@@ -78,8 +78,6 @@ IpiFabric::broadcast(CoreId initiator, const CpuMask &targets,
         send_clock += cost_.ipiSendCost(hops);
 
         const Tick delivered = send_clock + cost_.ipiDeliveryCost(hops);
-        const Duration handler =
-            cost_.ipiHandlerFixed + handler_cost(target);
         const Tick handler_done = delivered + handler;
         const Tick acked = handler_done + cost_.cachelineCost(hops);
 

@@ -71,18 +71,18 @@ class IpiFabric
      * @param start tick the initiator begins writing ICRs; must be
      *        at or after the queue's current time (operations that
      *        waited on a lock start late).
-     * @param handler_cost cost of the handler body on a given target
-     *        core, beyond the fixed interrupt entry/exit cost.
+     * @param handler_cost cost of the handler body on every target,
+     *        beyond the fixed interrupt entry/exit cost.
      * @param on_deliver side effects to apply when the interrupt is
      *        handled on a target (TLB invalidation, stolen-time
      *        charging); invoked at the handler-start tick.
      * @return completion information, including the tick the last
      *         ACK arrives (the initiator blocks until then).
      */
-    IpiBroadcastResult broadcast(
-        CoreId initiator, const CpuMask &targets, Tick start,
-        std::function<Duration(CoreId)> handler_cost,
-        DeliverFn on_deliver);
+    IpiBroadcastResult broadcast(CoreId initiator,
+                                 const CpuMask &targets, Tick start,
+                                 Duration handler_cost,
+                                 DeliverFn on_deliver);
 
     /// @name Stats
     /// @{

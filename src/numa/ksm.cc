@@ -108,7 +108,7 @@ KsmDaemon::merge(Process *dup, Vpn dup_vpn, Process *survivor,
     ctx.initiator = core;
     ctx.startVpn = dup_vpn;
     ctx.endVpn = dup_vpn;
-    ctx.pages.emplace_back(dup_vpn, dup_frame);
+    ctx.frames.pages.emplace_back(dup_vpn, dup_frame);
     ctx.vaStart = 0; // the virtual page stays mapped (new frame)
     ctx.vaEnd = 0;
     spent += kernel_.policy()->onFreePages(std::move(ctx),

@@ -105,10 +105,7 @@ Kernel::exitProcess(Process *process)
         vmas.push_back(kv.second);
     for (const Vma &vma : vmas) {
         UnmapResult ur = mm.munmapRegion(vma.start, vma.end - vma.start);
-        for (const auto &page : ur.pages)
-            frames_.put(page.second);
-        for (const auto &page : ur.hugePages)
-            frames_.putHuge(page.second);
+        ur.releaseTo(frames_);
     }
 }
 
@@ -235,10 +232,8 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
         return res;
     }
     // A huge mapping clears one PMD entry, not 512 PTEs.
-    const std::uint64_t npages =
-        ur.pages.size() + ur.hugePages.size() * kHugePageSpan;
-    const std::uint64_t pte_clears =
-        ur.pages.size() + ur.hugePages.size();
+    const std::uint64_t npages = ur.npages();
+    const std::uint64_t pte_clears = ur.pteCount();
     const Vpn s = pageOf(pageAlignDown(addr));
     const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
 
@@ -258,23 +253,11 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
     ctx.initiator = core;
     ctx.startVpn = s;
     ctx.endVpn = e;
-    ctx.pages = std::move(ur.pages);
-    ctx.hugePages = std::move(ur.hugePages);
+    ctx.frames = std::move(ur);
     ctx.vaStart = pageAlignDown(addr);
     ctx.vaEnd = pageAlignUp(addr + len);
     ctx.syncRequested = sync;
-
-    // The policy consumes the per-page sharer info (ABIS) before it
-    // is forgotten.
-    std::vector<Vpn> unmapped;
-    unmapped.reserve(ctx.pages.size() + ctx.hugePages.size());
-    for (const auto &page : ctx.pages)
-        unmapped.push_back(page.first);
-    for (const auto &page : ctx.hugePages)
-        unmapped.push_back(page.first);
-    const Duration pol = policy_->onFreePages(std::move(ctx), shoot_at);
-    for (Vpn vpn : unmapped)
-        mm.clearSharers(vpn);
+    const Duration pol = freePages(std::move(ctx), shoot_at);
     // Linux performs the shootdown under mmap_sem; LATR's 132 ns
     // state save extends the hold negligibly.
     mm.mmapSem().extendWrite(pol);
@@ -328,10 +311,8 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
         res.latency = config_.cost.syscallFixed;
         return res;
     }
-    const std::uint64_t npages =
-        ur.pages.size() + ur.hugePages.size() * kHugePageSpan;
-    const std::uint64_t pte_clears =
-        ur.pages.size() + ur.hugePages.size();
+    const std::uint64_t npages = ur.npages();
+    const std::uint64_t pte_clears = ur.pteCount();
     const Vpn s = pageOf(pageAlignDown(addr));
     const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
 
@@ -345,26 +326,67 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
     const Tick lock_at = mm.mmapSem().acquireRead(t0, base);
     const Tick shoot_at = lock_at + base;
 
-    FreeOpContext ctx;
+    FreeOpContext ctx; // the VMA survives madvise: no VA to release
     ctx.mm = &mm;
     ctx.initiator = core;
     ctx.startVpn = s;
     ctx.endVpn = e;
-    ctx.pages = std::move(ur.pages);
-    ctx.hugePages = std::move(ur.hugePages);
-    ctx.vaStart = 0; // VMA survives madvise; no VA to release
-    ctx.vaEnd = 0;
+    ctx.frames = std::move(ur);
+    const Duration pol = freePages(std::move(ctx), shoot_at);
+    noteInvalidation(mm, s, e, shoot_at + pol, op, true);
 
+    res.ok = true;
+    res.shootdown = pol;
+    res.latency = (shoot_at + pol) - now;
+    counterOnce(counter_cache, counter).inc();
+    traceSyscall(counter, now, res, core, mm.id(), npages);
+    return res;
+}
+
+Duration
+Kernel::freePages(FreeOpContext ctx, Tick start)
+{
+    // The policy consumes the per-page sharer info (ABIS, Predictive)
+    // before it is forgotten.
+    AddressSpace &mm = *ctx.mm;
     std::vector<Vpn> unmapped;
-    unmapped.reserve(ctx.pages.size() + ctx.hugePages.size());
-    for (const auto &page : ctx.pages)
-        unmapped.push_back(page.first);
-    for (const auto &page : ctx.hugePages)
-        unmapped.push_back(page.first);
-    const Duration pol = policy_->onFreePages(std::move(ctx), shoot_at);
+    unmapped.reserve(ctx.frames.pteCount());
+    ctx.frames.forEachVpn([&](Vpn vpn) { unmapped.push_back(vpn); });
+    const Duration pol = policy_->onFreePages(std::move(ctx), start);
     for (Vpn vpn : unmapped)
         mm.clearSharers(vpn);
-    noteInvalidation(mm, s, e, shoot_at + pol, op, true);
+    return pol;
+}
+
+SyscallResult
+Kernel::syncSyscall(Task *task, Addr addr, std::uint64_t len,
+                    const UnmapResult &ur, Duration pt_work,
+                    Counter *&counter_cache, const char *counter,
+                    const char *op)
+{
+    SyscallResult res;
+    if (!ur.ok) {
+        res.latency = config_.cost.syscallFixed;
+        return res;
+    }
+    AddressSpace &mm = task->mm();
+    const CoreId core = task->core();
+    const Tick now = queue_.now();
+    const std::uint64_t npages = ur.pages.size();
+    const Vpn s = pageOf(pageAlignDown(addr));
+    const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
+
+    Duration base = config_.cost.vmaFixed + pt_work;
+    base += localInvalidate(core, mm, s, e, npages);
+
+    const Tick t0 = now + config_.cost.syscallFixed;
+    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
+    const Tick shoot_at = lock_at + base;
+
+    const Duration pol =
+        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
+    mm.mmapSem().extendWrite(pol);
+    noteInvalidation(mm, s, e, shoot_at + pol, op, false);
 
     res.ok = true;
     res.shootdown = pol;
@@ -378,127 +400,44 @@ SyscallResult
 Kernel::mprotect(Task *task, Addr addr, std::uint64_t len,
                  std::uint8_t prot)
 {
-    SyscallResult res;
-    AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
-    UnmapResult ur = mm.mprotectRegion(addr, len, prot);
-    if (!ur.ok) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages = ur.pages.size();
-    const Vpn s = pageOf(pageAlignDown(addr));
-    const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.vmaPerPage * ur.spanned +
-                    config_.cost.pteClearPerPage * npages;
-    base += localInvalidate(core, mm, s, e, npages);
-
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
     // Permission changes must be synchronous under every policy
     // (table 1): stale writable entries are a correctness hazard.
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "mprotect", false);
-
-    res.ok = true;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    counterOnce(mprotectCtr_, "sys.mprotect").inc();
-    traceSyscall("sys.mprotect", now, res, core, mm.id(), npages);
-    return res;
+    const UnmapResult ur = task->mm().mprotectRegion(addr, len, prot);
+    const Duration pt_work =
+        config_.cost.vmaPerPage * ur.spanned +
+        config_.cost.pteClearPerPage * ur.pages.size();
+    return syncSyscall(task, addr, len, ur, pt_work, mprotectCtr_,
+                       "sys.mprotect", "mprotect");
 }
 
 SyscallResult
 Kernel::mremap(Task *task, Addr old_addr, std::uint64_t old_len,
                std::uint64_t new_len)
 {
-    SyscallResult res;
-    AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
-    UnmapResult moved;
-    const Addr new_addr =
-        mm.mremapRegion(old_addr, old_len, new_len, &moved);
-    if (new_addr == kAddrInvalid) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages = moved.pages.size();
-    const Vpn s = pageOf(pageAlignDown(old_addr));
-    const Vpn e = pageOf(pageAlignUp(old_addr + old_len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.vmaPerPage * moved.spanned +
-                    config_.cost.pteMapPerPage * npages;
-    base += localInvalidate(core, mm, s, e, npages);
-
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
     // Remap changes physical addresses of live translations —
     // synchronous everywhere (table 1).
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "mremap", false);
-
-    res.ok = true;
-    res.addr = new_addr;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    counterOnce(mremapCtr_, "sys.mremap").inc();
-    traceSyscall("sys.mremap", now, res, core, mm.id(), npages);
+    UnmapResult moved;
+    const Addr new_addr =
+        task->mm().mremapRegion(old_addr, old_len, new_len, &moved);
+    const Duration pt_work =
+        config_.cost.vmaPerPage * moved.spanned +
+        config_.cost.pteMapPerPage * moved.pages.size();
+    SyscallResult res = syncSyscall(task, old_addr, old_len, moved,
+                                    pt_work, mremapCtr_, "sys.mremap",
+                                    "mremap");
+    res.addr = new_addr; // kAddrInvalid when the remap failed
     return res;
 }
 
 SyscallResult
 Kernel::markCow(Task *task, Addr addr, std::uint64_t len)
 {
-    SyscallResult res;
-    AddressSpace &mm = task->mm();
-    const CoreId core = task->core();
-    const Tick now = queue_.now();
-
-    UnmapResult ur = mm.markCowRegion(addr, len);
-    if (!ur.ok) {
-        res.latency = config_.cost.syscallFixed;
-        return res;
-    }
-    const std::uint64_t npages = ur.pages.size();
-    const Vpn s = pageOf(pageAlignDown(addr));
-    const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
-
-    Duration base = config_.cost.vmaFixed +
-                    config_.cost.pteClearPerPage * npages;
-    base += localInvalidate(core, mm, s, e, npages);
-
-    const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
     // Ownership changes are synchronous (table 1): every core must
     // lose write access before sharing begins.
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "markcow", false);
-
-    res.ok = true;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
-    counterOnce(markCowCtr_, "sys.markcow").inc();
-    traceSyscall("sys.markcow", now, res, core, mm.id(), npages);
-    return res;
+    const UnmapResult ur = task->mm().markCowRegion(addr, len);
+    return syncSyscall(task, addr, len, ur,
+                       config_.cost.pteClearPerPage * ur.pages.size(),
+                       markCowCtr_, "sys.markcow", "markcow");
 }
 
 Duration

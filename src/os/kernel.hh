@@ -211,6 +211,25 @@ class Kernel
                                 const char *counter, const char *op);
 
     /**
+     * Hand a free operation to the policy, then forget the freed
+     * pages' sharer info (ABIS and Predictive read it first).
+     */
+    Duration freePages(FreeOpContext ctx, Tick start);
+
+    /**
+     * Shared body of mprotect() / mremap() / markCow(): @p ur holds
+     * the pages of [addr, addr + len) whose entries the call already
+     * changed, at a page-table cost of vmaFixed + @p pt_work under
+     * mmap_sem held for write; the change reaches every TLB before
+     * the call returns (table 1). Counted and traced as @p counter,
+     * reported to the staleness oracle as @p op.
+     */
+    SyscallResult syncSyscall(Task *task, Addr addr, std::uint64_t len,
+                              const UnmapResult &ur, Duration pt_work,
+                              Counter *&counter_cache,
+                              const char *counter, const char *op);
+
+    /**
      * The stat named @p name, looked up on first use and then kept in
      * @p cache: per call it costs a pointer test, and a dump still
      * lists only the stats of calls that ran.

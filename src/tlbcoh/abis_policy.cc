@@ -43,19 +43,14 @@ AbisPolicy::onFreePages(FreeOpContext ctx, Tick start)
 
     // Harvest access bits: union of each page's sharer set, clipped
     // to the cores where the mm is still resident.
-    CpuMask sharers;
-    for (const auto &page : ctx.pages)
-        sharers.orWith(ctx.mm->sharersOf(page.first));
-    for (const auto &page : ctx.hugePages)
-        sharers.orWith(ctx.mm->sharersOf(page.first));
+    CpuMask sharers = ctx.mm->sharersOf(ctx.frames);
     sharers.andWith(ctx.mm->residencyMask());
     sharers.clear(ctx.initiator);
 
-    const std::uint64_t npages =
-        ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
+    const std::uint64_t npages = ctx.frames.npages();
     const Duration scan =
         cost().abisPerPageScan *
-        static_cast<Duration>(ctx.pages.size() + ctx.hugePages.size());
+        static_cast<Duration>(ctx.frames.pteCount());
     if (TraceRecorder *t = tracer()) {
         const SpanId span =
             t->beginSpan("abis", "abis.sharer_scan", start,
@@ -63,31 +58,13 @@ AbisPolicy::onFreePages(FreeOpContext ctx, Tick start)
         t->endSpan(span, start + scan);
     }
 
-    Duration wait = 0;
-    if (!sharers.empty() && npages > 0) {
-        wait = ipiShootdown(ctx.mm, ctx.initiator, sharers,
-                            ctx.startVpn, ctx.endVpn, npages,
-                            start + scan);
-    } else {
+    if (sharers.empty() || npages == 0) {
         shootdownsAvoidedCtr_.inc();
         if (TraceRecorder *t = tracer())
             t->instant("abis", "abis.shootdown_avoided", start + scan,
                        ctx.initiator, ctx.mm->id(), npages);
     }
-
-    const Tick free_at = start + scan + wait;
-    if (!ctx.pages.empty() || !ctx.hugePages.empty()) {
-        AddressSpace *mm = ctx.mm;
-        auto pages = std::move(ctx.pages);
-        auto huge = std::move(ctx.hugePages);
-        env_.queue->scheduleLambda(free_at, [mm, pages, huge]() {
-            for (const auto &page : pages)
-                mm->frames().put(page.second);
-            for (const auto &page : huge)
-                mm->frames().putHuge(page.second);
-        });
-    }
-    return scan + wait;
+    return scan + syncFree(ctx, sharers, start + scan);
 }
 
 Duration
@@ -109,14 +86,13 @@ AbisPolicy::onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
     CpuMask sharers = mm->sharersOf(vpn);
     sharers.andWith(mm->residencyMask());
     sharers.clear(initiator);
-    Duration wait = 0;
-    if (!sharers.empty()) {
-        wait = ipiShootdown(mm, initiator, sharers, vpn, vpn, 1,
-                            start + local);
-    } else {
+    // Unlike Linux, no sharer means no shootdown at all.
+    if (sharers.empty()) {
         shootdownsAvoidedCtr_.inc();
+        return local;
     }
-    return local + wait;
+    return local + shootdown(mm, initiator, sharers, vpn, vpn, 1,
+                             start + local);
 }
 
 } // namespace latr

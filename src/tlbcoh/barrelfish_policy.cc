@@ -26,10 +26,10 @@ BarrelfishPolicy::capabilities() const
 }
 
 Duration
-BarrelfishPolicy::messageShootdown(AddressSpace *mm, CoreId initiator,
-                                   const CpuMask &targets, Vpn start_vpn,
-                                   Vpn end_vpn, std::uint64_t npages,
-                                   Tick start)
+BarrelfishPolicy::shootdown(AddressSpace *mm, CoreId initiator,
+                            const CpuMask &targets, Vpn start_vpn,
+                            Vpn end_vpn, std::uint64_t npages,
+                            Tick start)
 {
     env_.stats->counter("coh.msg_shootdowns").inc();
 
@@ -84,65 +84,6 @@ BarrelfishPolicy::messageShootdown(AddressSpace *mm, CoreId initiator,
         t->endSpan(span, all_acked);
     }
     return all_acked - start;
-}
-
-Duration
-BarrelfishPolicy::onFreePages(FreeOpContext ctx, Tick start)
-{
-    shootdownsCtr_.inc();
-
-    CpuMask targets = remoteTargets(ctx.mm, ctx.initiator);
-    const std::uint64_t npages =
-        ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
-    Duration wait = 0;
-    if (!targets.empty() && npages > 0) {
-        wait = messageShootdown(ctx.mm, ctx.initiator, targets,
-                                ctx.startVpn, ctx.endVpn, npages,
-                                start);
-    }
-    if (!ctx.pages.empty() || !ctx.hugePages.empty()) {
-        AddressSpace *mm = ctx.mm;
-        auto pages = std::move(ctx.pages);
-        auto huge = std::move(ctx.hugePages);
-        env_.queue->scheduleLambda(start + wait, [mm, pages, huge]() {
-            for (const auto &page : pages)
-                mm->frames().put(page.second);
-            for (const auto &page : huge)
-                mm->frames().putHuge(page.second);
-        });
-    }
-    return wait;
-}
-
-Duration
-BarrelfishPolicy::onNumaSample(AddressSpace *mm, CoreId initiator,
-                               Vpn vpn, Tick start)
-{
-    Pte *pte = mm->pageTable().find(vpn);
-    if (!pte)
-        return 0;
-
-    shootdownsCtr_.inc();
-    numaSamplesCtr_.inc();
-
-    pte->flags |= kPteProtNone;
-    Duration local = cost().pteClearPerPage + cost().invlpg;
-    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
-
-    CpuMask targets = remoteTargets(mm, initiator);
-    return local + messageShootdown(mm, initiator, targets, vpn, vpn, 1,
-                                    start + local);
-}
-
-Duration
-BarrelfishPolicy::onSyncShootdown(AddressSpace *mm, CoreId initiator,
-                                  Vpn start_vpn, Vpn end_vpn,
-                                  std::uint64_t npages, Tick start)
-{
-    syncOpsCtr_.inc();
-    CpuMask targets = remoteTargets(mm, initiator);
-    return messageShootdown(mm, initiator, targets, start_vpn, end_vpn,
-                            npages, start);
 }
 
 } // namespace latr

@@ -5,7 +5,9 @@
  * lines) instead of IPIs, so remote cores take no interrupt — they
  * observe the message at their next kernel poll point. The initiator
  * still waits for every acknowledgment, so the mechanism remains
- * synchronous (the paper's table 2 row).
+ * synchronous (the paper's table 2 row). Only the transport differs
+ * from Linux: frees, samples and sync operations take the base
+ * class's paths over shootdown().
  */
 
 #ifndef LATR_TLBCOH_BARRELFISH_POLICY_HH_
@@ -27,27 +29,19 @@ class BarrelfishPolicy : public TlbCoherencePolicy
     PolicyKind kind() const override { return PolicyKind::Barrelfish; }
     PolicyCapabilities capabilities() const override;
 
-    Duration onFreePages(FreeOpContext ctx, Tick start) override;
-
-    Duration onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
-                          Tick start) override;
-
-    Duration onSyncShootdown(AddressSpace *mm, CoreId initiator,
-                             Vpn start_vpn, Vpn end_vpn,
-                             std::uint64_t npages, Tick start) override;
-
-  private:
+  protected:
     /**
-     * Message-based equivalent of ipiShootdown(): write one channel
+     * The message transport in place of IPIs: write one channel
      * line per target, each target applies the invalidation at its
      * next poll point (uniform delay in [0, bfPollWindow]), ACKs
      * return as cache-line transfers, initiator waits for all.
      */
-    Duration messageShootdown(AddressSpace *mm, CoreId initiator,
-                              const CpuMask &targets, Vpn start_vpn,
-                              Vpn end_vpn, std::uint64_t npages,
-                              Tick start);
+    Duration shootdown(AddressSpace *mm, CoreId initiator,
+                       const CpuMask &targets, Vpn start_vpn,
+                       Vpn end_vpn, std::uint64_t npages,
+                       Tick start) override;
 
+  private:
     Rng rng_;
 };
 

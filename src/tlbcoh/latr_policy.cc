@@ -69,17 +69,15 @@ LatrPolicy::lazyBytes() const
 {
     std::uint64_t pages = 0;
     for (const LatrState *s : active_)
-        pages += s->pages.size() + s->hugePages.size() * kHugePageSpan;
+        pages += s->frames.npages();
     for (const LatrState *s : pending_)
-        pages += s->pages.size() + s->hugePages.size() * kHugePageSpan;
+        pages += s->frames.npages();
     return pages * kPageSize;
 }
 
 Duration
 LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
 {
-    shootdownsCtr_.inc();
-
     // The paper's section 7 override: callers that need immediate
     // reuse semantics (use-after-free detectors) get the IPI path.
     LatrState *slot =
@@ -94,29 +92,10 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
                 t->instant("latr", "latr.ring_full_fallback", start,
                            ctx.initiator, ctx.mm->id());
         }
-        CpuMask targets = remoteTargets(ctx.mm, ctx.initiator);
-        const std::uint64_t npages =
-            ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
-        Duration wait = 0;
-        if (!targets.empty() && npages > 0) {
-            wait = ipiShootdown(ctx.mm, ctx.initiator, targets,
-                                ctx.startVpn, ctx.endVpn, npages,
-                                start);
-        }
-        if (!ctx.pages.empty() || !ctx.hugePages.empty()) {
-            AddressSpace *mm = ctx.mm;
-            auto pages = std::move(ctx.pages);
-            auto huge = std::move(ctx.hugePages);
-            env_.queue->scheduleLambda(
-                start + wait, [mm, pages, huge]() {
-                    for (const auto &page : pages)
-                        mm->frames().put(page.second);
-                    for (const auto &page : huge)
-                        mm->frames().putHuge(page.second);
-                });
-        }
-        return wait;
+        return TlbCoherencePolicy::onFreePages(std::move(ctx), start);
     }
+
+    shootdownsCtr_.inc();
 
     // Save the LATR state: one ring entry written with ordinary
     // stores — no IPI, no wait (figure 2b).
@@ -129,8 +108,7 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
     slot->savedAt = start;
     slot->owner = ctx.initiator;
     slot->pteCleared = true; // free ops clear PTEs synchronously
-    slot->pages = std::move(ctx.pages);
-    slot->hugePages = std::move(ctx.hugePages);
+    slot->frames = std::move(ctx.frames);
     slot->vaStart = ctx.vaStart;
     slot->vaEnd = ctx.vaEnd;
 
@@ -143,8 +121,7 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
     if (TraceRecorder *t = tracer()) {
         const SpanId span = t->beginSpan(
             "latr", "latr.state_save", start, ctx.initiator,
-            ctx.mm->id(),
-            slot->pages.size() + slot->hugePages.size());
+            ctx.mm->id(), slot->frames.pteCount());
         t->endSpan(span, start + cost().latrStateSave);
     }
 
@@ -174,14 +151,11 @@ LatrPolicy::onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
 
     LatrState *slot = allocSlot(initiator);
     if (!slot) {
-        // Ring full: sample the Linux way.
+        // Ring full: sample the Linux way. Unlike the ring-full free
+        // path, this fallback counts neither coh.shootdowns nor
+        // numa.samples.
         fallbackIpisCtr_.inc();
-        pte->flags |= kPteProtNone;
-        Duration local = cost().pteClearPerPage + cost().invlpg;
-        env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
-        CpuMask targets = remoteTargets(mm, initiator);
-        return local + ipiShootdown(mm, initiator, targets, vpn, vpn,
-                                    1, start + local);
+        return syncNumaSample(mm, initiator, pte, vpn, start);
     }
 
     shootdownsCtr_.inc();
@@ -206,8 +180,6 @@ LatrPolicy::onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
     slot->savedAt = start;
     slot->owner = initiator;
     slot->pteCleared = false;
-    slot->pages.clear();
-    slot->hugePages.clear();
     slot->vaStart = 0;
     slot->vaEnd = 0;
 
@@ -403,26 +375,17 @@ LatrPolicy::reclaimState(LatrState *state)
 {
     // Free the frames, release the virtual range, charge the
     // background thread's work to the ring owner.
-    const std::uint64_t npages =
-        state->pages.size() + state->hugePages.size() * kHugePageSpan;
+    const std::uint64_t npages = state->frames.npages();
     const MmId mm_id = state->mm ? state->mm->id() : kTraceNoMm;
     const CoreId owner = state->owner;
-    Duration spent = 0;
-    for (const auto &page : state->pages) {
-        state->mm->frames().put(page.second);
-        spent += cost().latrReclaimPerPage;
-    }
-    for (const auto &page : state->hugePages) {
-        state->mm->frames().putHuge(page.second);
-        spent += cost().latrReclaimPerPage;
-    }
-    reclaimedPagesCtr_.inc(state->pages.size() +
-                           state->hugePages.size() * kHugePageSpan);
+    const Duration spent =
+        cost().latrReclaimPerPage *
+        static_cast<Duration>(state->frames.pteCount());
+    state->frames.releaseTo(state->mm->frames());
+    reclaimedPagesCtr_.inc(npages);
     if (state->vaEnd > state->vaStart)
         state->mm->releaseHoldback(state->vaStart, state->vaEnd);
     env_.cores->chargeStolen(state->owner, spent);
-    state->pages.clear();
-    state->hugePages.clear();
     state->mm = nullptr;
     state->phase = LatrStatePhase::Empty;
     if (TraceRecorder *t = tracer()) {

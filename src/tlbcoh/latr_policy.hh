@@ -68,13 +68,11 @@ struct LatrState
     CoreId owner = 0;
     /** Migration only: first sweeper already made the PTE prot-none. */
     bool pteCleared = false;
-    /** Free only: frames to release at reclamation. */
-    std::vector<std::pair<Vpn, Pfn>> pages;
     /**
-     * Free only: 2 MiB mappings to release with putHuge() — the
-     * huge-flag extension the paper's section 7 proposes.
+     * Free only: frames to release at reclamation, 2 MiB mappings
+     * included (the huge-flag extension of the paper's section 7).
      */
-    std::vector<std::pair<Vpn, Pfn>> hugePages;
+    FreedFrames frames;
     /** Free only: virtual range to release (munmap). */
     Addr vaStart = 0;
     Addr vaEnd = 0;

@@ -9,6 +9,10 @@
  * the 33-entry threshold become full flushes) and lazy idle-mode TLBs
  * (idle cores drop out of the residency mask — modeled in the
  * scheduler).
+ *
+ * All of that is TlbCoherencePolicy's default behaviour, which the
+ * other policies reuse for their synchronous operations and
+ * fallbacks; this class only names it.
  */
 
 #ifndef LATR_TLBCOH_LINUX_POLICY_HH_
@@ -23,16 +27,13 @@ namespace latr
 class LinuxPolicy : public TlbCoherencePolicy
 {
   public:
-    explicit LinuxPolicy(PolicyEnv env);
+    using TlbCoherencePolicy::TlbCoherencePolicy;
 
     const char *name() const override { return "Linux"; }
     PolicyKind kind() const override { return PolicyKind::LinuxSync; }
-    PolicyCapabilities capabilities() const override;
 
-    Duration onFreePages(FreeOpContext ctx, Tick start) override;
-
-    Duration onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
-                          Tick start) override;
+    /** Table 2's Linux row is the all-default one. */
+    PolicyCapabilities capabilities() const override { return {}; }
 };
 
 } // namespace latr

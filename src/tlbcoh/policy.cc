@@ -90,18 +90,16 @@ TlbCoherencePolicy::polluteLlc(CoreId core)
 }
 
 Duration
-TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
-                                 const CpuMask &targets, Vpn start_vpn,
-                                 Vpn end_vpn, std::uint64_t npages,
-                                 Tick start)
+TlbCoherencePolicy::shootdown(AddressSpace *mm, CoreId initiator,
+                              const CpuMask &targets, Vpn start_vpn,
+                              Vpn end_vpn, std::uint64_t npages,
+                              Tick start)
 {
     ipiShootdownsCtr_.inc();
 
     const Pcid pcid = mm->pcid();
     const bool full_flush = npages >= cost().fullFlushThreshold;
     const Duration handler_body = cost().localInvalidateCost(npages);
-
-    auto handler_cost = [handler_body](CoreId) { return handler_body; };
 
     auto on_deliver = [this, mm, pcid, full_flush, start_vpn, end_vpn,
                        handler_body](CoreId target, Tick) {
@@ -123,7 +121,7 @@ TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
     };
 
     IpiBroadcastResult r = env_.ipi->broadcast(
-        initiator, targets, start, handler_cost, on_deliver);
+        initiator, targets, start, handler_body, on_deliver);
     if (TraceRecorder *t = tracer()) {
         const SpanId span = t->beginSpan(
             "coh", "coh.ipi_shootdown", start, initiator, mm->id(),
@@ -133,6 +131,46 @@ TlbCoherencePolicy::ipiShootdown(AddressSpace *mm, CoreId initiator,
     return r.allAcked - start;
 }
 
+void
+TlbCoherencePolicy::releaseAt(Tick at, AddressSpace *mm,
+                              FreedFrames frames, Addr va_start,
+                              Addr va_end)
+{
+    if (frames.empty() && va_end <= va_start)
+        return;
+    env_.queue->scheduleLambda(
+        at, [mm, frames = std::move(frames), va_start,
+             va_end]() mutable {
+            frames.releaseTo(mm->frames());
+            if (va_end > va_start)
+                mm->releaseHoldback(va_start, va_end);
+        });
+}
+
+Duration
+TlbCoherencePolicy::syncFree(FreeOpContext &ctx, const CpuMask &targets,
+                             Tick start)
+{
+    const std::uint64_t npages = ctx.frames.npages();
+    Duration wait = 0;
+    if (!targets.empty() && npages > 0) {
+        wait = shootdown(ctx.mm, ctx.initiator, targets, ctx.startVpn,
+                         ctx.endVpn, npages, start);
+    }
+    // The remote invalidations were scheduled before the last ACK,
+    // so freeing then keeps the reuse invariant by construction.
+    releaseAt(start + wait, ctx.mm, std::move(ctx.frames));
+    return wait;
+}
+
+Duration
+TlbCoherencePolicy::onFreePages(FreeOpContext ctx, Tick start)
+{
+    shootdownsCtr_.inc();
+    const CpuMask targets = remoteTargets(ctx.mm, ctx.initiator);
+    return syncFree(ctx, targets, start);
+}
+
 Duration
 TlbCoherencePolicy::onSyncShootdown(AddressSpace *mm, CoreId initiator,
                                     Vpn start_vpn, Vpn end_vpn,
@@ -140,9 +178,8 @@ TlbCoherencePolicy::onSyncShootdown(AddressSpace *mm, CoreId initiator,
 {
     syncOpsCtr_.inc();
     CpuMask targets = remoteTargets(mm, initiator);
-    const Duration wait = ipiShootdown(mm, initiator, targets,
-                                       start_vpn, end_vpn, npages,
-                                       start);
+    const Duration wait = shootdown(mm, initiator, targets, start_vpn,
+                                    end_vpn, npages, start);
     if (TraceRecorder *t = tracer()) {
         const SpanId span = t->beginSpan("coh", "coh.sync_shootdown",
                                          start, initiator, mm->id(),
@@ -150,6 +187,33 @@ TlbCoherencePolicy::onSyncShootdown(AddressSpace *mm, CoreId initiator,
         t->endSpan(span, start + wait);
     }
     return wait;
+}
+
+Duration
+TlbCoherencePolicy::syncNumaSample(AddressSpace *mm, CoreId initiator,
+                                   Pte *pte, Vpn vpn, Tick start)
+{
+    // change_prot_numa: make the PTE prot-none, invalidate locally,
+    // then shoot down everywhere — the cost the paper's figure 3a
+    // shows on the AutoNUMA critical path.
+    pte->flags |= kPteProtNone;
+    const Duration local = cost().pteClearPerPage + cost().invlpg;
+    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
+    CpuMask targets = remoteTargets(mm, initiator);
+    return local + shootdown(mm, initiator, targets, vpn, vpn, 1,
+                             start + local);
+}
+
+Duration
+TlbCoherencePolicy::onNumaSample(AddressSpace *mm, CoreId initiator,
+                                 Vpn vpn, Tick start)
+{
+    Pte *pte = mm->pageTable().find(vpn);
+    if (!pte)
+        return 0; // raced with an unmap; nothing to sample
+    shootdownsCtr_.inc();
+    numaSamplesCtr_.inc();
+    return syncNumaSample(mm, initiator, pte, vpn, start);
 }
 
 std::unique_ptr<TlbCoherencePolicy>

@@ -72,15 +72,13 @@ struct FreeOpContext
     /** Inclusive page range of the operation. */
     Vpn startVpn = 0;
     Vpn endVpn = 0;
-    /** Unmapped (vpn, frame) pairs whose frames the policy frees. */
-    std::vector<std::pair<Vpn, Pfn>> pages;
     /**
-     * Unmapped 2 MiB mappings (base vpn, base frame), released with
-     * putHuge(). The LATR state covering them carries the paper's
-     * proposed huge flag (section 7) implicitly: its vpn range spans
-     * the whole region, so sweeps invalidate the huge TLB entries.
+     * Unmapped frames the policy frees. The LATR state covering a
+     * 2 MiB mapping carries the paper's proposed huge flag (section
+     * 7) implicitly: its vpn range spans the whole region, so sweeps
+     * invalidate the huge TLB entries.
      */
-    std::vector<std::pair<Vpn, Pfn>> hugePages;
+    FreedFrames frames;
     /**
      * Virtual range to return to the allocator once coherence is
      * reached; vaEnd == 0 for madvise (the VMA stays).
@@ -125,10 +123,11 @@ struct PolicyCapabilities
 };
 
 /**
- * Base class of all TLB-coherence policies. Provides the shared
- * synchronous-IPI machinery that LinuxPolicy uses directly and that
- * every policy needs for operations that cannot be lazy (mprotect,
- * mremap, CoW — table 1) or as a fallback.
+ * Base class of all TLB-coherence policies. Its hooks default to
+ * Linux's synchronous behaviour, which every policy needs for
+ * operations that cannot be lazy (mprotect, mremap, CoW — table 1)
+ * or as a fallback. They reach remote cores through one transport,
+ * shootdown(): IPIs unless a policy overrides it.
  */
 class TlbCoherencePolicy
 {
@@ -155,33 +154,37 @@ class TlbCoherencePolicy
     }
 
     /**
-     * A free operation unmapped @p ctx.pages. PTEs are already
+     * A free operation unmapped @p ctx.frames. PTEs are already
      * cleared and the initiator's TLB already invalidated; the
      * policy owns remote invalidation, frame release, and VA
-     * release.
+     * release. The default is Linux's: shoot down every resident
+     * core and free the frames when the last ACK lands (the VA is
+     * reusable at once, since the call does not return earlier).
      *
      * @param start tick the policy's work begins (lock-adjusted).
      * @return time consumed on the initiating core beyond @p start.
      */
-    virtual Duration onFreePages(FreeOpContext ctx, Tick start) = 0;
+    virtual Duration onFreePages(FreeOpContext ctx, Tick start);
 
     /**
      * A page-table change that must be visible system-wide before
      * the operation returns (mprotect / mremap / CoW). PTEs are
-     * already updated; nothing is freed here.
+     * already updated; nothing is freed here. Every policy shoots
+     * down every resident core, over its own shootdown().
      */
-    virtual Duration onSyncShootdown(AddressSpace *mm, CoreId initiator,
-                                     Vpn start_vpn, Vpn end_vpn,
-                                     std::uint64_t npages, Tick start);
+    Duration onSyncShootdown(AddressSpace *mm, CoreId initiator,
+                             Vpn start_vpn, Vpn end_vpn,
+                             std::uint64_t npages, Tick start);
 
     /**
      * AutoNUMA sampled @p vpn: make it prot-none and invalidate it
      * everywhere. Lazy policies may defer the PTE change (paper
      * section 4.3); they must block the mm's mmap_sem until every
-     * core has invalidated.
+     * core has invalidated. The default is Linux's
+     * change_prot_numa; see syncNumaSample().
      */
     virtual Duration onNumaSample(AddressSpace *mm, CoreId initiator,
-                                  Vpn vpn, Tick start) = 0;
+                                  Vpn vpn, Tick start);
 
     /**
      * Earliest tick at which a NUMA-hint fault on @p vpn may proceed
@@ -202,17 +205,45 @@ class TlbCoherencePolicy
 
   protected:
     /**
-     * The shared synchronous IPI shootdown: serialize ICR writes to
-     * every core in @p targets (minus the initiator), invalidate
-     * each target's TLB at interrupt delivery, charge handler time
-     * to targets, pollute their LLCs, and return when the last ACK
-     * lands.
+     * The synchronous transport: invalidate [start_vpn, end_vpn] on
+     * every core in @p targets (minus the initiator) and wait for
+     * every acknowledgment. The default sends IPIs: serialized ICR
+     * writes, invalidation at interrupt delivery, handler time
+     * charged to the targets and their LLCs polluted.
      *
      * @return time from @p start until the last ACK.
      */
-    Duration ipiShootdown(AddressSpace *mm, CoreId initiator,
-                          const CpuMask &targets, Vpn start_vpn,
-                          Vpn end_vpn, std::uint64_t npages, Tick start);
+    virtual Duration shootdown(AddressSpace *mm, CoreId initiator,
+                               const CpuMask &targets, Vpn start_vpn,
+                               Vpn end_vpn, std::uint64_t npages,
+                               Tick start);
+
+    /**
+     * Linux's free path past the choice of @p targets: shoot them
+     * down if any page was mapped, then free @p ctx.frames when the
+     * last ACK lands. Counts nothing.
+     *
+     * @return the shootdown wait.
+     */
+    Duration syncFree(FreeOpContext &ctx, const CpuMask &targets,
+                      Tick start);
+
+    /**
+     * Linux's change_prot_numa for the mapped @p pte of @p vpn,
+     * without its counters: make it prot-none, invalidate it
+     * locally, shoot down every resident core.
+     *
+     * @return the local work plus the shootdown wait.
+     */
+    Duration syncNumaSample(AddressSpace *mm, CoreId initiator,
+                            Pte *pte, Vpn vpn, Tick start);
+
+    /**
+     * Free @p frames, and release [va_start, va_end) from @p mm's
+     * holdback when non-empty, at tick @p at.
+     */
+    void releaseAt(Tick at, AddressSpace *mm, FreedFrames frames,
+                   Addr va_start = 0, Addr va_end = 0);
 
     /** Remote targets for @p mm: cores whose TLBs may hold entries. */
     CpuMask remoteTargets(AddressSpace *mm, CoreId initiator) const;

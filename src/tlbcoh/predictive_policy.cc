@@ -71,11 +71,11 @@ PredictivePolicy::coreHoldsStale(CoreId core,
     const Tlb &tlb = env_.cores->tlbOf(core);
     const Pcid pcid = ev->mm->pcid();
     Pfn pfn = 0;
-    for (const auto &page : ev->pages) {
+    for (const auto &page : ev->frames.pages) {
         if (tlb.probePfn(page.first, pcid, &pfn) && pfn == page.second)
             return true;
     }
-    for (const auto &page : ev->hugePages) {
+    for (const auto &page : ev->frames.hugePages) {
         if (tlb.probeHugePfn(page.first, pcid, &pfn) &&
             pfn == page.second)
             return true;
@@ -88,8 +88,7 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
 {
     shootdownsCtr_.inc();
 
-    const std::uint64_t npages =
-        ctx.pages.size() + ctx.hugePages.size() * kHugePageSpan;
+    const std::uint64_t npages = ctx.frames.npages();
     CpuMask candidates = remoteTargets(ctx.mm, ctx.initiator);
 
     if (npages == 0)
@@ -98,15 +97,7 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
     if (candidates.empty()) {
         // No remote core can hold an entry and the initiator already
         // invalidated: free immediately, Linux-style.
-        AddressSpace *mm = ctx.mm;
-        auto pages = std::move(ctx.pages);
-        auto huge = std::move(ctx.hugePages);
-        env_.queue->scheduleLambda(start, [mm, pages, huge]() {
-            for (const auto &page : pages)
-                mm->frames().put(page.second);
-            for (const auto &page : huge)
-                mm->frames().putHuge(page.second);
-        });
+        releaseAt(start, ctx.mm, std::move(ctx.frames));
         return 0;
     }
 
@@ -120,11 +111,7 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
     if (const Vma *vma = ctx.mm->findVma(addrOf(ctx.startVpn)))
         f.vmaId = vma->start;
     f.initiator = ctx.initiator;
-    CpuMask accessors;
-    for (const auto &page : ctx.pages)
-        accessors.orWith(ctx.mm->sharersOf(page.first));
-    for (const auto &page : ctx.hugePages)
-        accessors.orWith(ctx.mm->sharersOf(page.first));
+    const CpuMask accessors = ctx.mm->sharersOf(ctx.frames);
     accessors.forEachWord([&f](unsigned w, std::uint64_t v) {
         f.accessorWords[w] = v;
     });
@@ -148,8 +135,7 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
     ev->startVpn = ctx.startVpn;
     ev->endVpn = ctx.endVpn;
     ev->npages = npages;
-    ev->pages = std::move(ctx.pages);
-    ev->hugePages = std::move(ctx.hugePages);
+    ev->frames = std::move(ctx.frames);
     ev->vaStart = ctx.vaStart;
     ev->vaEnd = ctx.vaEnd;
     ev->candidates = candidates;
@@ -163,8 +149,8 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
 
     Duration wait = 0;
     if (!predicted.empty()) {
-        wait = ipiShootdown(ctx.mm, ctx.initiator, predicted,
-                            ev->startVpn, ev->endVpn, npages, start);
+        wait = shootdown(ctx.mm, ctx.initiator, predicted,
+                         ev->startVpn, ev->endVpn, npages, start);
     }
 
     // Park the virtual range until verification confirms coherence
@@ -174,30 +160,6 @@ PredictivePolicy::onFreePages(FreeOpContext ctx, Tick start)
 
     scheduleVerify(ev, start + wait + cost().tickInterval);
     return wait;
-}
-
-Duration
-PredictivePolicy::onNumaSample(AddressSpace *mm, CoreId initiator,
-                               Vpn vpn, Tick start)
-{
-    // AutoNUMA samples gate migration faults on full coherence; keep
-    // them synchronous full-mask (the Linux path) rather than teach
-    // numaSampleReadyAt about pending verifications.
-    Pte *pte = mm->pageTable().find(vpn);
-    if (!pte)
-        return 0; // raced with an unmap
-
-    shootdownsCtr_.inc();
-    numaSamplesCtr_.inc();
-
-    pte->flags |= kPteProtNone;
-    Duration local = cost().pteClearPerPage + cost().invlpg;
-    env_.cores->tlbOf(initiator).invalidatePage(vpn, mm->pcid());
-
-    CpuMask targets = remoteTargets(mm, initiator);
-    Duration wait = ipiShootdown(mm, initiator, targets, vpn, vpn, 1,
-                                 start + local);
-    return local + wait;
 }
 
 void
@@ -218,8 +180,6 @@ PredictivePolicy::acquireVerifyEvent()
         ev = verifyEvents_.back().get();
         ev->policy = this;
     }
-    ev->pages.clear();
-    ev->hugePages.clear();
     return ev;
 }
 
@@ -259,8 +219,8 @@ PredictivePolicy::runVerify(VerifyEvent *ev)
         if (TraceRecorder *t = tracer())
             t->instant("pred", "pred.mispredict", now, ev->owner,
                        ev->mm->id(), stale.count());
-        wait = ipiShootdown(ev->mm, ev->owner, ev->candidates,
-                            ev->startVpn, ev->endVpn, ev->npages, now);
+        wait = shootdown(ev->mm, ev->owner, ev->candidates,
+                         ev->startVpn, ev->endVpn, ev->npages, now);
         env_.cores->chargeStolen(
             ev->owner, static_cast<Duration>(ev->candidates.count()) *
                            cost().ipiSendBase);
@@ -271,33 +231,16 @@ PredictivePolicy::runVerify(VerifyEvent *ev)
 
     if (wait == 0) {
         // Clean (or empty) verification: coherence certain now.
-        for (const auto &page : ev->pages)
-            ev->mm->frames().put(page.second);
-        for (const auto &page : ev->hugePages)
-            ev->mm->frames().putHuge(page.second);
+        ev->frames.releaseTo(ev->mm->frames());
         if (ev->vaEnd > ev->vaStart)
             ev->mm->releaseHoldback(ev->vaStart, ev->vaEnd);
     } else {
         // Fallback in flight: release only when its last delivery
         // has invalidated everything.
-        AddressSpace *mm = ev->mm;
-        auto pages = std::move(ev->pages);
-        auto huge = std::move(ev->hugePages);
-        const Addr va_start = ev->vaStart;
-        const Addr va_end = ev->vaEnd;
-        env_.queue->scheduleLambda(
-            now + wait, [mm, pages, huge, va_start, va_end]() {
-                for (const auto &page : pages)
-                    mm->frames().put(page.second);
-                for (const auto &page : huge)
-                    mm->frames().putHuge(page.second);
-                if (va_end > va_start)
-                    mm->releaseHoldback(va_start, va_end);
-            });
+        releaseAt(now + wait, ev->mm, std::move(ev->frames),
+                  ev->vaStart, ev->vaEnd);
     }
 
-    ev->pages.clear();
-    ev->hugePages.clear();
     ev->mm = nullptr;
     freeVerifyEvents_.push_back(ev);
 }

@@ -17,6 +17,11 @@
  * prediction accuracy: a stale translation dies at latest one epoch
  * plus one fallback round-trip after the op, which is exactly the
  * policy's staleness contract.
+ *
+ * AutoNUMA samples take the base class's synchronous full-mask path:
+ * they gate migration faults on full coherence, and keeping them
+ * Linux's spares numaSampleReadyAt from learning about pending
+ * verifications.
  */
 
 #ifndef LATR_TLBCOH_PREDICTIVE_POLICY_HH_
@@ -45,8 +50,6 @@ class PredictivePolicy : public TlbCoherencePolicy
     StalenessContract stalenessContract() const override;
 
     Duration onFreePages(FreeOpContext ctx, Tick start) override;
-    Duration onNumaSample(AddressSpace *mm, CoreId initiator, Vpn vpn,
-                          Tick start) override;
 
     /** The predictor, exposed for white-box tests. */
     const SharerPredictor &predictor() const { return predictor_; }
@@ -74,8 +77,7 @@ class PredictivePolicy : public TlbCoherencePolicy
         Vpn startVpn = 0;
         Vpn endVpn = 0;
         std::uint64_t npages = 0;
-        std::vector<std::pair<Vpn, Pfn>> pages;
-        std::vector<std::pair<Vpn, Pfn>> hugePages;
+        FreedFrames frames;
         Addr vaStart = 0;
         Addr vaEnd = 0;
         CpuMask candidates;

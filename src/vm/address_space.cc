@@ -439,6 +439,15 @@ AddressSpace::sharersOf(Vpn vpn) const
     return mask ? *mask : CpuMask();
 }
 
+CpuMask
+AddressSpace::sharersOf(const FreedFrames &frames) const
+{
+    CpuMask sharers;
+    frames.forEachVpn(
+        [&](Vpn vpn) { sharers.orWith(sharersOf(vpn)); });
+    return sharers;
+}
+
 void
 AddressSpace::clearSharers(Vpn vpn)
 {

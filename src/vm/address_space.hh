@@ -35,17 +35,65 @@ namespace latr
 /** Sentinel returned by mmapRegion/mremapRegion on failure. */
 constexpr Addr kAddrInvalid = ~0ULL;
 
-/** Pages collected by an unmap-like operation. */
-struct UnmapResult
+/**
+ * Frames an operation took out of the page table, split by mapping
+ * size. The holder owns them until releaseTo(): the coherence
+ * policies release once no TLB can still reach them.
+ */
+struct FreedFrames
 {
-    /** (vpn, pfn) of every page that was present and got unmapped. */
+    /** (vpn, pfn) of every 4 KiB page that was present. */
     std::vector<std::pair<Vpn, Pfn>> pages;
-    /**
-     * (base vpn, base pfn) of every 2 MiB mapping that got
-     * unmapped. Freed with FrameAllocator::putHuge once coherence
-     * is reached.
-     */
+    /** (base vpn, base pfn) of every present 2 MiB mapping. */
     std::vector<std::pair<Vpn, Pfn>> hugePages;
+
+    /** 4 KiB pages covered: a 2 MiB mapping counts as 512. */
+    std::uint64_t
+    npages() const
+    {
+        return pages.size() + hugePages.size() * kHugePageSpan;
+    }
+
+    /** Entries cleared: a 2 MiB mapping is one PMD entry. */
+    std::uint64_t
+    pteCount() const
+    {
+        return pages.size() + hugePages.size();
+    }
+
+    bool empty() const { return pages.empty() && hugePages.empty(); }
+
+    /** Call @p fn on every freed vpn, 4 KiB pages first. */
+    template <typename Fn>
+    void
+    forEachVpn(Fn &&fn) const
+    {
+        for (const auto &page : pages)
+            fn(page.first);
+        for (const auto &page : hugePages)
+            fn(page.first);
+    }
+
+    /** Return every frame to @p frames, 4 KiB pages first; clears. */
+    void
+    releaseTo(FrameAllocator &frames)
+    {
+        for (const auto &page : pages)
+            frames.put(page.second);
+        for (const auto &page : hugePages)
+            frames.putHuge(page.second);
+        pages.clear();
+        hugePages.clear();
+    }
+};
+
+/**
+ * Pages collected by an unmap-like operation. munmap and madvise hand
+ * over freed frames; mprotect, mremap and markCow list pages whose
+ * entries changed but whose frames stay mapped.
+ */
+struct UnmapResult : FreedFrames
+{
     /** Pages spanned by the request (present or not). */
     std::uint64_t spanned = 0;
     /** False if the range intersected no mapping. */
@@ -201,6 +249,9 @@ class AddressSpace
 
     /** Cores that faulted @p vpn in since the last clear. */
     CpuMask sharersOf(Vpn vpn) const;
+
+    /** Union of sharersOf() over every vpn in @p frames. */
+    CpuMask sharersOf(const FreedFrames &frames) const;
 
     /** Forget sharer info for @p vpn (on unmap). */
     void clearSharers(Vpn vpn);

@@ -26,8 +26,7 @@ struct IpiFixture : public ::testing::Test
 
 TEST_F(IpiFixture, EmptyTargetsCompletesImmediately)
 {
-    IpiBroadcastResult r = fabric.broadcast(
-        0, CpuMask(), 0, [](CoreId) { return 0; }, nullptr);
+    IpiBroadcastResult r = fabric.broadcast(0, CpuMask(), 0, 0, nullptr);
     EXPECT_EQ(r.ipis, 0u);
     EXPECT_EQ(r.allAcked, 0u);
     EXPECT_EQ(fabric.broadcasts(), 0u);
@@ -36,8 +35,7 @@ TEST_F(IpiFixture, EmptyTargetsCompletesImmediately)
 TEST_F(IpiFixture, InitiatorIsSkipped)
 {
     CpuMask m = CpuMask::single(0);
-    IpiBroadcastResult r = fabric.broadcast(
-        0, m, 0, [](CoreId) { return 0; }, nullptr);
+    IpiBroadcastResult r = fabric.broadcast(0, m, 0, 0, nullptr);
     EXPECT_EQ(r.ipis, 0u);
 }
 
@@ -45,8 +43,8 @@ TEST_F(IpiFixture, SingleSameSocketTargetLatencyMath)
 {
     CpuMask m = CpuMask::single(1); // same socket as core 0
     const Duration handler_body = 120;
-    IpiBroadcastResult r = fabric.broadcast(
-        0, m, 0, [&](CoreId) { return handler_body; }, nullptr);
+    IpiBroadcastResult r =
+        fabric.broadcast(0, m, 0, handler_body, nullptr);
     const Duration expected = cost.ipiSendCost(0) +
                               cost.ipiDeliveryCost(0) +
                               cost.ipiHandlerFixed + handler_body +
@@ -57,11 +55,10 @@ TEST_F(IpiFixture, SingleSameSocketTargetLatencyMath)
 
 TEST_F(IpiFixture, CrossSocketTargetIsSlower)
 {
-    IpiBroadcastResult near = fabric.broadcast(
-        0, CpuMask::single(1), 0, [](CoreId) { return 0; }, nullptr);
+    IpiBroadcastResult near =
+        fabric.broadcast(0, CpuMask::single(1), 0, 0, nullptr);
     IpiBroadcastResult far = fabric.broadcast(
-        0, CpuMask::single(4), queue.now(),
-        [](CoreId) { return 0; }, nullptr);
+        0, CpuMask::single(4), queue.now(), 0, nullptr);
     EXPECT_GT(far.allAcked - queue.now(), near.allAcked);
 }
 
@@ -72,8 +69,7 @@ TEST_F(IpiFixture, SendsSerializeAcrossTargets)
     CpuMask m;
     for (CoreId c = 1; c < 8; ++c)
         m.set(c);
-    IpiBroadcastResult r = fabric.broadcast(
-        0, m, 0, [](CoreId) { return 0; }, nullptr);
+    IpiBroadcastResult r = fabric.broadcast(0, m, 0, 0, nullptr);
     EXPECT_EQ(r.ipis, 7u);
     Duration min_sends = 0;
     m.forEach([&](CoreId c) {
@@ -89,15 +85,9 @@ TEST_F(IpiFixture, MoreTargetsNeverCompleteSooner)
     CpuMask big;
     for (CoreId c = 1; c < 8; ++c)
         big.set(c);
-    Duration d_small = fabric
-                           .broadcast(0, small, 0,
-                                      [](CoreId) { return 0; },
-                                      nullptr)
-                           .allAcked;
-    Duration d_big = fabric
-                         .broadcast(0, big, 0,
-                                    [](CoreId) { return 0; }, nullptr)
-                         .allAcked;
+    Duration d_small =
+        fabric.broadcast(0, small, 0, 0, nullptr).allAcked;
+    Duration d_big = fabric.broadcast(0, big, 0, 0, nullptr).allAcked;
     EXPECT_GE(d_big, d_small);
 }
 
@@ -108,7 +98,7 @@ TEST_F(IpiFixture, DeliveryCallbackFiresAtDeliveryTickPerTarget)
     m.set(5);
     std::map<CoreId, Tick> delivered;
     IpiBroadcastResult r = fabric.broadcast(
-        0, m, 0, [](CoreId) { return 0; },
+        0, m, 0, 0,
         [&](CoreId c, Tick at) { delivered[c] = at; });
     EXPECT_TRUE(delivered.empty()); // nothing until events run
     queue.run();
@@ -123,10 +113,8 @@ TEST_F(IpiFixture, DeliveryCallbackFiresAtDeliveryTickPerTarget)
 TEST_F(IpiFixture, ExplicitStartShiftsEverything)
 {
     CpuMask m = CpuMask::single(1);
-    IpiBroadcastResult at0 = fabric.broadcast(
-        0, m, 0, [](CoreId) { return 0; }, nullptr);
-    IpiBroadcastResult at1000 = fabric.broadcast(
-        0, m, 1000, [](CoreId) { return 0; }, nullptr);
+    IpiBroadcastResult at0 = fabric.broadcast(0, m, 0, 0, nullptr);
+    IpiBroadcastResult at1000 = fabric.broadcast(0, m, 1000, 0, nullptr);
     EXPECT_EQ(at1000.allAcked, at0.allAcked + 1000);
 }
 
@@ -135,8 +123,8 @@ TEST_F(IpiFixture, StatsAccumulate)
     CpuMask m;
     m.set(1);
     m.set(2);
-    fabric.broadcast(0, m, 0, [](CoreId) { return 0; }, nullptr);
-    fabric.broadcast(0, m, 0, [](CoreId) { return 0; }, nullptr);
+    fabric.broadcast(0, m, 0, 0, nullptr);
+    fabric.broadcast(0, m, 0, 0, nullptr);
     EXPECT_EQ(fabric.ipisSent(), 4u);
     EXPECT_EQ(fabric.broadcasts(), 2u);
     fabric.resetStats();
@@ -153,8 +141,8 @@ TEST(IpiCalibration, FullShootdown16CoresNearPaperCost)
     IpiFabric fabric(queue, topo, cost);
     CpuMask m = CpuMask::firstN(16);
     m.clear(0);
-    IpiBroadcastResult r = fabric.broadcast(
-        0, m, 0, [&](CoreId) { return cost.invlpg; }, nullptr);
+    IpiBroadcastResult r =
+        fabric.broadcast(0, m, 0, cost.invlpg, nullptr);
     EXPECT_GT(r.allAcked, 4 * kUsec);
     EXPECT_LT(r.allAcked, 9 * kUsec);
 }
