@@ -6,7 +6,9 @@
 //                  one-off lambdas, the engine's two scheduling idioms.
 //   tlb_churn    — Tlb insert/lookup/invalidate storm over a working
 //                  set larger than the TLB, the hottest data structure
-//                  in a machine simulation.
+//                  in a machine simulation. Its JSON row carries the
+//                  TLB's L1-hit, L2-hit and miss counts: deterministic
+//                  work beside the wall-clock rate.
 //   munmap_storm — a full 16-core machine running the paper's munmap
 //                  microbenchmark back-to-back under Linux and LATR,
 //                  measuring end-to-end simulated events per second of
@@ -105,6 +107,14 @@ struct BigMachineCounters
     }
 };
 
+/** The Tlb's own counters at the end of one tlb_churn run. */
+struct TlbChurnCounters
+{
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t misses = 0;
+};
+
 /** A self-rescheduling event: the scheduler-tick idiom. */
 class ChurnEvent : public Event
 {
@@ -175,7 +185,7 @@ runEventChurn()
 }
 
 ScenarioResult
-runTlbChurn()
+runTlbChurn(TlbChurnCounters &counts)
 {
     constexpr std::uint64_t kOps = 8'000'000;
     Tlb tlb(0, 64, 1024, 32);
@@ -201,6 +211,7 @@ runTlbChurn()
         }
     }
     const double wall = wallSeconds(start);
+    counts = {tlb.l1Hits(), tlb.l2Hits(), tlb.misses()};
     return {"tlb_churn", ops, wall};
 }
 
@@ -407,8 +418,9 @@ main(int argc, char **argv)
 
     std::vector<ScenarioResult> results;
     BigMachineCounters big;
+    TlbChurnCounters churn;
     results.push_back(runEventChurn());
-    results.push_back(runTlbChurn());
+    results.push_back(runTlbChurn(churn));
     results.push_back(runMunmapStorm(noFastpath));
     results.push_back(runBigMachine(noFastpath, big));
 
@@ -441,6 +453,10 @@ main(int argc, char **argv)
             bigEps = r.eventsPerSec();
         } else if (std::strcmp(r.name, "munmap_storm") == 0) {
             stormEps = r.eventsPerSec();
+        } else if (std::strcmp(r.name, "tlb_churn") == 0) {
+            json.num("l1_hits", churn.l1Hits)
+                .num("l2_hits", churn.l2Hits)
+                .num("misses", churn.misses);
         }
     }
     bench::rule();

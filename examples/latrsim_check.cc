@@ -11,9 +11,11 @@
 // Exit status: 0 when every run is clean and equivalent, 1 on any
 // oracle violation or cross-policy divergence, 2 on usage errors.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "check/executor.hh"
@@ -75,10 +77,36 @@ usage(const char *argv0)
         argv0);
 }
 
+/**
+ * Parse @p text, the value of @p flag, as a decimal number no larger
+ * than @p max: digits only, so a sign, a blank or a trailing
+ * character is refused. A bad value exits 2 before any script runs;
+ * strtoul alone would wrap --fuzz=-5 into a four-billion-script
+ * campaign and read --fuzz=3x as 3.
+ */
+std::uint64_t
+numberArg(const char *flag, const char *text, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (text[0] < '0' || text[0] > '9' || *end != '\0' ||
+        errno == ERANGE || v > max) {
+        std::fprintf(stderr,
+                     "latrsim_check: %s wants a number in 0..%llu, "
+                     "not '%s'\n",
+                     flag, static_cast<unsigned long long>(max), text);
+        std::exit(2);
+    }
+    return v;
+}
+
 bool
 parseArg(Options &opts, const char *arg, const char *next,
          bool *consumed_next)
 {
+    constexpr std::uint64_t kMaxUnsigned =
+        std::numeric_limits<unsigned>::max();
     *consumed_next = false;
     auto value = [&](const char *key) -> const char * {
         const std::size_t n = std::strlen(key);
@@ -101,12 +129,13 @@ parseArg(Options &opts, const char *arg, const char *next,
         return true;
     }
     if (const char *v = value("--fuzz")) {
-        opts.fuzz = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+        opts.fuzz = static_cast<unsigned>(
+            numberArg("--fuzz", v, kMaxUnsigned));
         return true;
     }
     if (const char *v = value("--digest")) {
-        opts.digest =
-            static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+        opts.digest = static_cast<unsigned>(
+            numberArg("--digest", v, kMaxUnsigned));
         return true;
     }
     if (const char *v = value("--machine")) {
@@ -122,11 +151,13 @@ parseArg(Options &opts, const char *arg, const char *next,
         return true;
     }
     if (const char *v = value("--seed")) {
-        opts.seed = std::strtoull(v, nullptr, 10);
+        opts.seed = numberArg(
+            "--seed", v, std::numeric_limits<std::uint64_t>::max());
         return true;
     }
     if (const char *v = value("--ops")) {
-        opts.ops = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+        opts.ops =
+            static_cast<unsigned>(numberArg("--ops", v, kMaxUnsigned));
         return true;
     }
     if (const char *v = value("--pcid")) {

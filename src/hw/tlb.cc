@@ -8,68 +8,90 @@
 namespace latr
 {
 
-Tlb::Level::Level(unsigned capacity) : capacity_(capacity)
+Tlb::Store::Store(unsigned l1_capacity, unsigned l2_capacity)
 {
-    if (capacity == 0 || capacity >= kNil)
-        fatal("TLB level capacity %u out of range", capacity);
-    std::uint32_t table_size = 1;
-    while (table_size < 2 * capacity) // ≤50% load
-        table_size <<= 1;
-    mask_ = table_size - 1;
-    table_.assign(table_size, kNil);
+    const unsigned capacity = l1_capacity + l2_capacity;
+    if (l1_capacity == 0 || capacity >= kNil)
+        fatal("TLB capacity %u+%u out of range", l1_capacity,
+              l2_capacity);
+    chains_[0].capacity = static_cast<std::uint16_t>(l1_capacity);
+    chains_[1].capacity = static_cast<std::uint16_t>(l2_capacity);
+    cells_ = 2 * capacity; // ≤50% load
+    index_.assign(cells_, kNil);
     slots_ = std::make_unique_for_overwrite<Slot[]>(capacity);
 }
 
 std::uint16_t
-Tlb::Level::findSlot(const Key &k) const
+Tlb::Store::find(const Key &k) const
 {
-    std::uint32_t i = hashOf(k) & mask_;
-    while (table_[i] != kNil) {
-        if (slots_[table_[i]].entry.key == k)
-            return table_[i];
-        i = (i + 1) & mask_;
+    std::uint32_t i = homeOf(k);
+    while (index_[i] != kNil) {
+        if (slots_[index_[i]].entry.key == k)
+            return index_[i];
+        i = nextCell(i);
     }
     return kNil;
 }
 
 void
-Tlb::Level::unlink(std::uint16_t i)
+Tlb::Store::unlink(std::uint16_t i)
 {
     const Slot &s = slots_[i];
+    Chain &c = chains_[s.level];
     if (s.prev != kNil)
         slots_[s.prev].next = s.next;
     else
-        head_ = s.next;
+        c.head = s.next;
     if (s.next != kNil)
         slots_[s.next].prev = s.prev;
     else
-        tail_ = s.prev;
+        c.tail = s.prev;
+    --c.size;
 }
 
 void
-Tlb::Level::linkFront(std::uint16_t i)
+Tlb::Store::linkFront(std::uint16_t i, unsigned level)
 {
     Slot &s = slots_[i];
+    Chain &c = chains_[level];
+    s.level = static_cast<std::uint8_t>(level);
     s.prev = kNil;
-    s.next = head_;
-    if (head_ != kNil)
-        slots_[head_].prev = i;
+    s.next = c.head;
+    if (c.head != kNil)
+        slots_[c.head].prev = i;
     else
-        tail_ = i;
-    head_ = i;
+        c.tail = i;
+    c.head = i;
+    ++c.size;
+}
+
+void
+Tlb::Store::touch(std::uint16_t i)
+{
+    Chain &l1 = chains_[0];
+    if (i == l1.head)
+        return;
+    unlink(i);
+    // Only a promotion out of level 1 can find level 0 full.
+    if (l1.size == l1.capacity) {
+        const std::uint16_t spilled = l1.tail;
+        unlink(spilled);
+        linkFront(spilled, 1);
+    }
+    linkFront(i, 0);
 }
 
 std::uint32_t
-Tlb::Level::cellOf(std::uint16_t slot) const
+Tlb::Store::cellOf(std::uint16_t slot) const
 {
-    std::uint32_t i = hashOf(slots_[slot].entry.key) & mask_;
-    while (table_[i] != slot)
-        i = (i + 1) & mask_;
+    std::uint32_t i = homeOf(slots_[slot].entry.key);
+    while (index_[i] != slot)
+        i = nextCell(i);
     return i;
 }
 
 void
-Tlb::Level::tableErase(std::uint16_t slot)
+Tlb::Store::indexErase(std::uint16_t slot)
 {
     std::uint32_t i = cellOf(slot);
     // Backward-shift deletion keeps probe chains contiguous without
@@ -77,69 +99,49 @@ Tlb::Level::tableErase(std::uint16_t slot)
     // entry whose home position lies cyclically outside (i, j].
     std::uint32_t j = i;
     for (;;) {
-        table_[i] = kNil;
+        index_[i] = kNil;
         std::uint32_t home;
         do {
-            j = (j + 1) & mask_;
-            if (table_[j] == kNil)
+            j = nextCell(j);
+            if (index_[j] == kNil)
                 return;
-            home = hashOf(slots_[table_[j]].entry.key) & mask_;
+            home = homeOf(slots_[index_[j]].entry.key);
         } while (i <= j ? (home > i && home <= j)
                         : (home > i || home <= j));
-        table_[i] = table_[j];
+        index_[i] = index_[j];
         i = j;
     }
 }
 
 void
-Tlb::Level::eraseSlot(std::uint16_t i)
+Tlb::Store::erase(std::uint16_t i)
 {
-    tableErase(i);
+    indexErase(i);
     unlink(i);
     slots_[i].next = freeHead_;
     freeHead_ = i;
-    --size_;
 }
 
-const Tlb::Entry *
-Tlb::Level::touch(const Key &k)
+bool
+Tlb::Store::insert(const Entry &e, Entry *victim_out)
 {
-    const std::uint16_t i = findSlot(k);
-    if (i == kNil)
-        return nullptr;
-    if (i != head_) {
-        unlink(i);
-        linkFront(i);
-    }
-    return &slots_[i].entry;
-}
-
-const Tlb::Entry *
-Tlb::Level::peek(const Key &k) const
-{
-    const std::uint16_t i = findSlot(k);
-    return i == kNil ? nullptr : &slots_[i].entry;
-}
-
-void
-Tlb::Level::insert(const Entry &e, Entry *victim_out, bool *had_victim)
-{
-    *had_victim = false;
-    const std::uint16_t existing = findSlot(e.key);
-    if (existing != kNil) {
-        // Refresh in place (e.g., remap to a new frame) and touch.
-        slots_[existing].entry.pfn = e.pfn;
-        slots_[existing].entry.writable = e.writable;
-        if (existing != head_) {
-            unlink(existing);
-            linkFront(existing);
+    // A full level 0 spills its LRU entry into level 1; the last
+    // level, when full, drops its LRU entry first.
+    bool evicted = false;
+    Chain &l1 = chains_[0];
+    if (l1.size == l1.capacity) {
+        const unsigned last = chains_[1].capacity != 0 ? 1 : 0;
+        const Chain &bottom = chains_[last];
+        if (bottom.size == bottom.capacity) {
+            *victim_out = slots_[bottom.tail].entry;
+            erase(bottom.tail);
+            evicted = true;
         }
-        return;
-    }
-    if (size_ >= capacity_) {
-        *victim_out = slots_[tail_].entry;
-        *had_victim = true;
-        eraseSlot(tail_);
+        if (last != 0) {
+            const std::uint16_t spilled = l1.tail;
+            unlink(spilled);
+            linkFront(spilled, 1);
+        }
     }
     // Freed slots first, then never-used ones in index order: the
     // order of a free list that started as 0, 1, ..., capacity - 1.
@@ -149,52 +151,44 @@ Tlb::Level::insert(const Entry &e, Entry *victim_out, bool *had_victim)
     else
         slot = unused_++;
     slots_[slot].entry = e;
-    linkFront(slot);
-    std::uint32_t pos = hashOf(e.key) & mask_;
-    while (table_[pos] != kNil)
-        pos = (pos + 1) & mask_;
-    table_[pos] = slot;
-    ++size_;
-}
-
-bool
-Tlb::Level::remove(const Key &k, Entry *removed_out)
-{
-    const std::uint16_t i = findSlot(k);
-    if (i == kNil)
-        return false;
-    if (removed_out)
-        *removed_out = slots_[i].entry;
-    eraseSlot(i);
-    return true;
+    linkFront(slot, 0);
+    std::uint32_t pos = homeOf(e.key);
+    while (index_[pos] != kNil)
+        pos = nextCell(pos);
+    index_[pos] = slot;
+    return evicted;
 }
 
 void
-Tlb::Level::clear()
+Tlb::Store::clear()
 {
-    if (size_ == 0)
+    const std::size_t live = chains_[0].size + chains_[1].size;
+    if (live == 0)
         return;
     // A fill writes 32 cells per cache line, while clearing one entry
     // by probe touches two lines (its slot and its cell): from one
-    // entry per 64 cells on, one pass over the table is cheaper.
-    if (size_ * 64 >= table_.size()) {
-        std::fill(table_.begin(), table_.end(), kNil);
-    } else {
-        for (std::uint16_t i = head_; i != kNil; i = slots_[i].next)
-            table_[cellOf(i)] = kNil;
-    }
-    // Nothing outside the level sees a slot index, so the LRU chain
+    // entry per 64 cells on, one pass over the index is cheaper.
+    const bool fill = live * 64 >= cells_;
+    if (fill)
+        std::fill(index_.begin(), index_.end(), kNil);
+    // Nothing outside the store sees a slot index, so each chain
     // joins the free list as it stands.
-    slots_[tail_].next = freeHead_;
-    freeHead_ = head_;
-    head_ = tail_ = kNil;
-    size_ = 0;
+    for (Chain &c : chains_) {
+        if (c.size == 0)
+            continue;
+        if (!fill)
+            for (std::uint16_t i = c.head; i != kNil; i = slots_[i].next)
+                index_[cellOf(i)] = kNil;
+        slots_[c.tail].next = freeHead_;
+        freeHead_ = c.head;
+        c.head = c.tail = kNil;
+        c.size = 0;
+    }
 }
 
 Tlb::Tlb(CoreId core, unsigned l1_entries, unsigned l2_entries,
          unsigned huge_entries)
-    : core_(core), l1_(l1_entries), l2_(l2_entries),
-      huge_(huge_entries)
+    : core_(core), base_(l1_entries, l2_entries), huge_(huge_entries, 0)
 {
     if (l1_entries == 0 || l2_entries == 0 || huge_entries == 0)
         fatal("TLB levels need nonzero capacity");
@@ -218,182 +212,148 @@ TlbResult
 Tlb::lookup(Vpn vpn, Pcid pcid, Pfn *pfn_out, bool *writable_out,
             bool *huge_out)
 {
+    // The 2 MiB array covers whole regions; it wins when populated,
+    // and its one level counts as L1.
+    std::uint16_t i = huge_.size(0) != 0
+                          ? huge_.find(Key{hugeBaseOf(vpn), pcid})
+                          : Store::kNil;
+    const bool huge = i != Store::kNil;
     if (huge_out)
-        *huge_out = false;
-    // The 2 MiB array covers whole regions; it wins when populated.
-    Key hk{hugeBaseOf(vpn), pcid};
-    if (const Entry *e = huge_.touch(hk)) {
-        ++l1Hits_;
-        if (pfn_out)
-            *pfn_out = e->pfn + (vpn - hugeBaseOf(vpn));
-        if (writable_out)
-            *writable_out = e->writable;
-        if (huge_out)
-            *huge_out = true;
-        return TlbResult::HitL1;
+        *huge_out = huge;
+    Store &store = huge ? huge_ : base_;
+    if (!huge)
+        i = base_.find(Key{vpn, pcid});
+    if (i == Store::kNil) {
+        ++misses_;
+        return TlbResult::Miss;
     }
-    Key k{vpn, pcid};
-    if (const Entry *e = l1_.touch(k)) {
-        ++l1Hits_;
-        if (pfn_out)
-            *pfn_out = e->pfn;
-        if (writable_out)
-            *writable_out = e->writable;
-        return TlbResult::HitL1;
-    }
-    Entry promoted;
-    if (l2_.remove(k, &promoted)) {
-        ++l2Hits_;
-        if (pfn_out)
-            *pfn_out = promoted.pfn;
-        if (writable_out)
-            *writable_out = promoted.writable;
-        // Promote into L1; an L1 victim spills back into L2. Neither
-        // movement changes overall TLB membership, so no listener
-        // traffic unless the spill evicts an L2 entry.
-        Entry l1_victim;
-        bool had_l1_victim = false;
-        l1_.insert(promoted, &l1_victim, &had_l1_victim);
-        if (had_l1_victim) {
-            Entry l2_victim;
-            bool had_l2_victim = false;
-            l2_.insert(l1_victim, &l2_victim, &had_l2_victim);
-            if (had_l2_victim)
-                notifyRemove(l2_victim);
-        }
-        return TlbResult::HitL2;
-    }
-    ++misses_;
-    return TlbResult::Miss;
+    // An L2 hit is promoted into L1 and an L1 victim spills back into
+    // L2; neither changes TLB membership, so no listener traffic.
+    const bool l1 = store.levelOf(i) == 0;
+    store.touch(i);
+    const Entry &e = store.entry(i);
+    if (pfn_out) // offset into the region under a 2 MiB entry
+        *pfn_out = e.pfn + (vpn - e.key.vpn);
+    if (writable_out)
+        *writable_out = e.writable;
+    ++(l1 ? l1Hits_ : l2Hits_);
+    return l1 ? TlbResult::HitL1 : TlbResult::HitL2;
 }
 
 bool
 Tlb::probe(Vpn vpn, Pcid pcid) const
 {
-    Key k{vpn, pcid};
-    return l1_.peek(k) != nullptr || l2_.peek(k) != nullptr ||
+    return base_.find(Key{vpn, pcid}) != Store::kNil ||
            probeHuge(vpn, pcid);
 }
 
 bool
 Tlb::probeHuge(Vpn vpn, Pcid pcid) const
 {
-    Key hk{hugeBaseOf(vpn), pcid};
-    return huge_.peek(hk) != nullptr;
+    return huge_.find(Key{hugeBaseOf(vpn), pcid}) != Store::kNil;
 }
 
 bool
 Tlb::probePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
 {
-    Key k{vpn, pcid};
-    if (const Entry *e = l1_.peek(k)) {
-        *pfn_out = e->pfn;
-        return true;
-    }
-    if (const Entry *e = l2_.peek(k)) {
-        *pfn_out = e->pfn;
-        return true;
-    }
-    return probeHugePfn(vpn, pcid, pfn_out);
+    const std::uint16_t i = base_.find(Key{vpn, pcid});
+    if (i == Store::kNil)
+        return probeHugePfn(vpn, pcid, pfn_out);
+    *pfn_out = base_.entry(i).pfn;
+    return true;
 }
 
 bool
 Tlb::probeHugePfn(Vpn vpn, Pcid pcid, Pfn *pfn_out) const
 {
-    Key hk{hugeBaseOf(vpn), pcid};
-    if (const Entry *e = huge_.peek(hk)) {
-        *pfn_out = e->pfn;
-        return true;
+    const std::uint16_t i = huge_.find(Key{hugeBaseOf(vpn), pcid});
+    if (i == Store::kNil)
+        return false;
+    *pfn_out = huge_.entry(i).pfn;
+    return true;
+}
+
+void
+Tlb::install(Store &store, const Entry &e)
+{
+    const std::uint16_t i = store.find(e.key);
+    if (i != Store::kNil) {
+        // Refresh in place and touch: the entry reaches the L1 MRU end
+        // from either level, as a remove and re-insert would put it,
+        // without writing the index.
+        const Entry old = store.entry(i);
+        store.entry(i) = e;
+        store.touch(i);
+        if (old.pfn != e.pfn) {
+            notifyRemove(old);
+            notifyInsert(e);
+        }
+        return;
     }
-    return false;
+    Entry victim;
+    const bool evicted = store.insert(e, &victim);
+    notifyInsert(e);
+    if (evicted)
+        notifyRemove(victim);
 }
 
 void
 Tlb::insertHuge(Vpn base_vpn, Pfn base_pfn, Pcid pcid, bool writable)
 {
-    Key k{hugeBaseOf(base_vpn), pcid};
-    Entry old;
-    bool existed = huge_.remove(k, &old);
-    bool same_frame = existed && old.pfn == base_pfn;
-    if (existed && !same_frame)
-        notifyRemove(old);
-
-    Entry e{k, base_pfn, writable};
-    Entry victim;
-    bool had_victim = false;
-    huge_.insert(e, &victim, &had_victim);
-    if (!same_frame)
-        notifyInsert(e);
-    if (had_victim)
-        notifyRemove(victim);
+    install(huge_, Entry{Key{hugeBaseOf(base_vpn), pcid}, base_pfn,
+                         writable});
 }
 
 void
 Tlb::insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable)
 {
-    Key k{vpn, pcid};
-    // Collapse any existing copy first so the listener sees a remap
-    // as remove(old frame) + insert(new frame). A permission-only
-    // change keeps the same frame and stays quiet.
-    Entry old;
-    bool existed = l1_.remove(k, &old) || l2_.remove(k, &old);
-    bool same_frame = existed && old.pfn == pfn;
-    if (existed && !same_frame)
-        notifyRemove(old);
+    install(base_, Entry{Key{vpn, pcid}, pfn, writable});
+}
 
-    Entry e{k, pfn, writable};
-    Entry l1_victim;
-    bool had_l1_victim = false;
-    l1_.insert(e, &l1_victim, &had_l1_victim);
-    if (!same_frame)
-        notifyInsert(e);
-    if (had_l1_victim) {
-        Entry l2_victim;
-        bool had_l2_victim = false;
-        l2_.insert(l1_victim, &l2_victim, &had_l2_victim);
-        if (had_l2_victim)
-            notifyRemove(l2_victim);
-    }
+void
+Tlb::drop(Store &store, std::uint16_t i)
+{
+    const Entry removed = store.entry(i);
+    store.erase(i);
+    notifyRemove(removed);
 }
 
 void
 Tlb::invalidatePage(Vpn vpn, Pcid pcid)
 {
-    Key k{vpn, pcid};
-    Entry removed;
-    if (l1_.remove(k, &removed))
-        notifyRemove(removed);
-    if (l2_.remove(k, &removed))
-        notifyRemove(removed);
+    const std::uint16_t i = base_.find(Key{vpn, pcid});
+    if (i != Store::kNil)
+        drop(base_, i);
     // INVLPG drops whatever entry covers the address — including a
     // 2 MiB one.
-    Key hk{hugeBaseOf(vpn), pcid};
-    if (huge_.remove(hk, &removed))
-        notifyRemove(removed);
+    const std::uint16_t h = huge_.find(Key{hugeBaseOf(vpn), pcid});
+    if (h != Store::kNil)
+        drop(huge_, h);
 }
 
 void
-Tlb::invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
-                       Pcid pcid)
+Tlb::invalidateKeys(Store &store, unsigned level, Vpn first, Vpn last,
+                    Vpn step, Pcid pcid)
 {
     // Adaptive: an munmap of a few pages should not pay a scan of a
     // 1024-entry level, and a giant teardown should not probe every
-    // VPN in the range. span == 0 means the range wrapped the whole
+    // VPN in the range. keys == 0 means the range wrapped the whole
     // VPN space; treat it as wide.
-    const std::uint64_t span = end_vpn - start_vpn + 1;
-    if (span != 0 && span < level.size()) {
-        Entry removed;
-        for (Vpn v = start_vpn;; ++v) {
-            if (level.remove(Key{v, pcid}, &removed))
-                notifyRemove(removed);
-            if (v == end_vpn)
+    const std::uint64_t keys = (last - first) / step + 1;
+    if (keys != 0 && keys < store.size(level)) {
+        for (Vpn v = first;; v += step) {
+            const std::uint16_t i = store.find(Key{v, pcid});
+            if (i != Store::kNil && store.levelOf(i) == level)
+                drop(store, i);
+            if (v == last)
                 break;
         }
     } else {
-        level.removeMatching(
+        store.removeMatching(
+            level,
             [&](const Entry &e) {
-                return e.key.pcid == pcid && e.key.vpn >= start_vpn &&
-                       e.key.vpn <= end_vpn;
+                return e.key.pcid == pcid && e.key.vpn >= first &&
+                       e.key.vpn <= last;
             },
             [&](const Entry &e) { notifyRemove(e); });
     }
@@ -405,30 +365,13 @@ Tlb::invalidateRange(Vpn start_vpn, Vpn end_vpn, Pcid pcid)
     if (trace_)
         trace_->instantNow("hw", "tlb.inv_range", core_, kTraceNoMm,
                            end_vpn - start_vpn + 1);
-    invalidateRangeIn(l1_, start_vpn, end_vpn, pcid);
-    invalidateRangeIn(l2_, start_vpn, end_vpn, pcid);
+    invalidateKeys(base_, 0, start_vpn, end_vpn, 1, pcid);
+    invalidateKeys(base_, 1, start_vpn, end_vpn, 1, pcid);
     // Huge entries overlap the range if any of their 512 pages do.
     // Every huge key is span-aligned, so the overlapping bases are
     // exactly hugeBaseOf(start) .. hugeBaseOf(end).
-    const Vpn hb_start = hugeBaseOf(start_vpn);
-    const Vpn hb_end = hugeBaseOf(end_vpn);
-    const std::uint64_t bases = (hb_end - hb_start) / kHugePageSpan + 1;
-    if (bases < huge_.size()) {
-        Entry removed;
-        for (Vpn b = hb_start;; b += kHugePageSpan) {
-            if (huge_.remove(Key{b, pcid}, &removed))
-                notifyRemove(removed);
-            if (b == hb_end)
-                break;
-        }
-    } else {
-        huge_.removeMatching(
-            [&](const Entry &e) {
-                return e.key.pcid == pcid && e.key.vpn <= end_vpn &&
-                       e.key.vpn + kHugePageSpan - 1 >= start_vpn;
-            },
-            [&](const Entry &e) { notifyRemove(e); });
-    }
+    invalidateKeys(huge_, 0, hugeBaseOf(start_vpn), hugeBaseOf(end_vpn),
+                   kHugePageSpan, pcid);
 }
 
 void
@@ -439,9 +382,9 @@ Tlb::invalidatePcid(Pcid pcid)
                            pcid);
     auto match = [&](const Entry &e) { return e.key.pcid == pcid; };
     auto notify = [&](const Entry &e) { notifyRemove(e); };
-    l1_.removeMatching(match, notify);
-    l2_.removeMatching(match, notify);
-    huge_.removeMatching(match, notify);
+    base_.removeMatching(0, match, notify);
+    base_.removeMatching(1, match, notify);
+    huge_.removeMatching(0, match, notify);
 }
 
 void
@@ -452,12 +395,12 @@ Tlb::flushAll()
         trace_->instantNow("hw", "tlb.flush_all", core_, kTraceNoMm,
                            size());
     if (!listeners_.empty()) {
-        l1_.forEach([&](const Entry &e) { notifyRemove(e); });
-        l2_.forEach([&](const Entry &e) { notifyRemove(e); });
-        huge_.forEach([&](const Entry &e) { notifyRemove(e); });
+        auto notify = [&](const Entry &e) { notifyRemove(e); };
+        base_.forEach(0, notify);
+        base_.forEach(1, notify);
+        huge_.forEach(0, notify);
     }
-    l1_.clear();
-    l2_.clear();
+    base_.clear();
     huge_.clear();
 }
 

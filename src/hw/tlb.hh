@@ -8,11 +8,15 @@
  * and removal, which the invariant checker uses to prove the paper's
  * reuse invariant.
  *
- * Each level is a fixed-capacity slot array allocated once at
- * construction: true-LRU order is an intrusive prev/next index chain
- * through the slots, and lookup is an open-addressing (linear probe,
- * backward-shift deletion) index table — the hottest simulator path
- * performs zero heap allocation after the TLB is built.
+ * Both 4 KiB levels live in one fixed-capacity slot array with one
+ * open-addressing index (linear probe, backward-shift deletion) over
+ * all of its slots; each level is an intrusive MRU→LRU chain, and a
+ * per-slot tag names the chain. A lookup probes the index once, and
+ * an L2 hit promotes (spilling the L1 LRU entry into L2) by relinking
+ * chains, never by re-hashing: the index changes only when an entry
+ * enters or leaves the TLB. The 2 MiB array is a one-chain store of
+ * the same kind. The hottest simulator path performs zero heap
+ * allocation after the TLB is built.
  */
 
 #ifndef LATR_HW_TLB_HH_
@@ -164,11 +168,11 @@ class Tlb
     std::size_t
     size() const
     {
-        return l1_.size() + l2_.size() + huge_.size();
+        return base_.size(0) + base_.size(1) + huge_.size(0);
     }
 
     /** Number of valid 2 MiB entries. */
-    std::size_t hugeSize() const { return huge_.size(); }
+    std::size_t hugeSize() const { return huge_.size(0); }
 
     /// @name Stats
     /// @{
@@ -199,61 +203,86 @@ class Tlb
     };
 
     /**
-     * One fully associative LRU level: a slot array sized once at
-     * construction, an intrusive MRU→LRU index chain through the
-     * slots, and a linear-probe index table at ≤50% load. No member
-     * allocates after the constructor, and the constructor writes no
-     * slot: inserts reuse freed slots, else take the next never-used
-     * one from a cursor.
+     * One or two fully associative true-LRU levels sharing a slot
+     * array sized once at construction and a linear-probe index of
+     * 2× that many cells. Each level is an intrusive MRU→LRU chain
+     * through the slots; a slot's tag names its chain. Level 0 victims
+     * spill into level 1, and the last level's victims leave the
+     * store. No member allocates after the constructor, and the
+     * constructor writes no slot: inserts reuse freed slots, else
+     * take the next never-used one from a cursor.
      */
-    class Level
+    class Store
     {
       public:
-        explicit Level(unsigned capacity);
+        static constexpr std::uint16_t kNil = 0xffff;
 
-        bool contains(const Key &k) const { return findSlot(k) != kNil; }
+        /** @param l2_capacity 0 for a one-level store. */
+        Store(unsigned l1_capacity, unsigned l2_capacity);
 
-        /** Find and touch (move to MRU). @return entry or nullptr. */
-        const Entry *touch(const Key &k);
+        /** Probe the index. @return slot index or kNil. */
+        std::uint16_t find(const Key &k) const;
 
-        /** Find without LRU update. */
-        const Entry *peek(const Key &k) const;
+        Entry &entry(std::uint16_t i) { return slots_[i].entry; }
+        const Entry &
+        entry(std::uint16_t i) const
+        {
+            return slots_[i].entry;
+        }
+
+        unsigned
+        levelOf(std::uint16_t i) const
+        {
+            return slots_[i].level;
+        }
+
+        std::size_t
+        size(unsigned level) const
+        {
+            return chains_[level].size;
+        }
 
         /**
-         * Insert; if full, the LRU entry is evicted into
-         * @p victim_out and true is returned in *had_victim.
+         * Move live slot @p i to the level-0 MRU end; when it comes
+         * from level 1 into a full level 0, level 0's LRU entry moves
+         * to the level-1 MRU end. The index is not written.
          */
-        void insert(const Entry &e, Entry *victim_out, bool *had_victim);
+        void touch(std::uint16_t i);
 
-        /** Remove by key. @return true if present. */
-        bool remove(const Key &k, Entry *removed_out = nullptr);
+        /**
+         * Insert @p e (its key must be absent) at the level-0 MRU
+         * end. @return true if an entry left the store to make room;
+         * it is copied into @p victim_out.
+         */
+        bool insert(const Entry &e, Entry *victim_out);
 
-        std::size_t size() const { return size_; }
+        /** Remove live slot @p i (index, chain, free list). */
+        void erase(std::uint16_t i);
 
-        /** Invoke @p fn on each entry, MRU first; no removal in fn. */
+        /** Invoke @p fn on each entry of @p level, MRU first. */
         template <typename Fn>
         void
-        forEach(Fn &&fn) const
+        forEach(unsigned level, Fn &&fn) const
         {
-            for (std::uint16_t i = head_; i != kNil;
+            for (std::uint16_t i = chains_[level].head; i != kNil;
                  i = slots_[i].next)
                 fn(slots_[i].entry);
         }
 
         /**
-         * Remove every entry matching @p pred, MRU-to-LRU order,
-         * invoking @p on_remove with a copy of each removed entry.
+         * Remove every entry of @p level matching @p pred, MRU to
+         * LRU, invoking @p on_remove with a copy of each.
          */
         template <typename Pred, typename OnRemove>
         void
-        removeMatching(Pred &&pred, OnRemove &&on_remove)
+        removeMatching(unsigned level, Pred &&pred, OnRemove &&on_remove)
         {
-            std::uint16_t i = head_;
+            std::uint16_t i = chains_[level].head;
             while (i != kNil) {
                 const std::uint16_t next = slots_[i].next;
                 if (pred(slots_[i].entry)) {
                     const Entry removed = slots_[i].entry;
-                    eraseSlot(i);
+                    erase(i);
                     on_remove(removed);
                 }
                 i = next;
@@ -262,72 +291,89 @@ class Tlb
 
         /**
          * Drop every entry in O(occupancy): reset the live entries'
-         * table cells (the whole table once that is cheaper) and
-         * splice the LRU chain onto the free list.
+         * index cells (the whole index once that is cheaper) and
+         * splice the chains onto the free list.
          */
         void clear();
 
       private:
-        static constexpr std::uint16_t kNil = 0xffff;
-
         struct Slot
         {
             Entry entry;
             /** LRU chain while live; next doubles as free-list link. */
             std::uint16_t prev;
             std::uint16_t next;
+            std::uint8_t level; // the chain it is on while live
         };
 
-        static std::uint32_t
-        hashOf(const Key &k)
+        struct Chain
+        {
+            std::uint16_t head = kNil; // MRU
+            std::uint16_t tail = kNil; // LRU
+            std::uint16_t size = 0;
+            std::uint16_t capacity = 0;
+        };
+
+        /** Home cell of @p k: its hash scaled by multiply-shift. */
+        std::uint32_t
+        homeOf(const Key &k) const
         {
             std::uint64_t h =
                 (static_cast<std::uint64_t>(k.pcid) << 48) ^ k.vpn;
             h *= 0x9e3779b97f4a7c15ULL; // Fibonacci mix
-            return static_cast<std::uint32_t>(h >> 32);
+            return static_cast<std::uint32_t>(((h >> 32) * cells_) >> 32);
         }
 
-        /** Probe the index table. @return slot index or kNil. */
-        std::uint16_t findSlot(const Key &k) const;
+        std::uint32_t
+        nextCell(std::uint32_t i) const
+        {
+            return i + 1 == cells_ ? 0 : i + 1;
+        }
 
-        /** Table cell that points at live slot @p i. */
+        /** Index cell that points at live slot @p i. */
         std::uint32_t cellOf(std::uint16_t i) const;
 
-        /** Unlink slot @p i from the LRU chain. */
+        /** Unlink slot @p i from its chain. */
         void unlink(std::uint16_t i);
 
-        /** Link slot @p i at the MRU head. */
-        void linkFront(std::uint16_t i);
+        /** Link slot @p i at the MRU end of @p level. */
+        void linkFront(std::uint16_t i, unsigned level);
 
-        /** Erase the table entry pointing at slot @p i (backward shift). */
-        void tableErase(std::uint16_t i);
+        /** Erase the cell pointing at slot @p i (backward shift). */
+        void indexErase(std::uint16_t i);
 
-        /** Remove slot @p i entirely (table, chain, free list). */
-        void eraseSlot(std::uint16_t i);
-
-        unsigned capacity_;
-        std::uint32_t mask_; // table size - 1 (power of two)
-        std::size_t size_ = 0;
-        std::uint16_t head_ = kNil; // MRU
-        std::uint16_t tail_ = kNil; // LRU
+        std::uint32_t cells_; // index size: 2× total capacity
+        Chain chains_[2];
         std::uint16_t freeHead_ = kNil;
         /** Slots from here up have never held an entry. */
         std::uint16_t unused_ = 0;
         std::unique_ptr<Slot[]> slots_; // written when first used
-        std::vector<std::uint16_t> table_; // slot index or kNil
+        std::vector<std::uint16_t> index_; // slot index or kNil
     };
 
     void notifyInsert(const Entry &e);
     void notifyRemove(const Entry &e);
 
-    /** invalidateRange over one 4 KiB level, probe or scan. */
-    void invalidateRangeIn(Level &level, Vpn start_vpn, Vpn end_vpn,
-                           Pcid pcid);
+    /**
+     * Install @p e in @p store: a remap reads as remove(old frame) +
+     * insert(new frame), a permission-only change stays quiet.
+     */
+    void install(Store &store, const Entry &e);
+
+    /** Remove live slot @p i of @p store and notify. */
+    void drop(Store &store, std::uint16_t i);
+
+    /**
+     * Drop @p level's entries under @p pcid keyed first..last: probe
+     * each key (@p step apart) when there are fewer keys than the
+     * level holds, else scan the level.
+     */
+    void invalidateKeys(Store &store, unsigned level, Vpn first, Vpn last,
+                        Vpn step, Pcid pcid);
 
     CoreId core_;
-    Level l1_;
-    Level l2_;
-    Level huge_; // separate 2 MiB-entry array
+    Store base_; // both 4 KiB levels: L1 is level 0, L2 level 1
+    Store huge_; // separate 2 MiB-entry array
     std::vector<TlbListener *> listeners_;
     TraceRecorder *trace_ = nullptr;
 

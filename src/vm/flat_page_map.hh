@@ -82,7 +82,7 @@ class FlatPageMap
             i = (i + 1) & mask_;
         if (slots_[i].key == kEmptyKey)
             return false;
-        // Backward-shift deletion (same scheme as Tlb::Level): walk
+        // Backward-shift deletion (same scheme as Tlb::Store): walk
         // forward from the freed cell and pull back any entry whose
         // home position lies cyclically outside (i, j].
         std::size_t j = i;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "hw/tlb.hh"
+#include "sim/rng.hh"
 
 namespace latr
 {
@@ -463,6 +467,449 @@ TEST_P(TlbFillSweep, SizeNeverExceedsConfiguredCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbFillSweep,
                          ::testing::Values(2u, 4u, 64u));
+
+// --- Reference model: a naive TLB of std::list levels searched
+// --- linearly, with the same spill, evict and notify rules.
+
+/** Two LRU levels and a 2 MiB array, each list kept MRU first. */
+class ReferenceTlb
+{
+  public:
+    struct Entry
+    {
+        Vpn vpn;
+        Pcid pcid;
+        Pfn pfn;
+        bool writable;
+    };
+    using List = std::list<Entry>;
+
+    ReferenceTlb(unsigned l1, unsigned l2, unsigned huge)
+        : l1Cap_(l1), l2Cap_(l2), hugeCap_(huge)
+    {
+    }
+
+    TlbResult
+    lookup(Vpn vpn, Pcid pcid, Pfn *pfn, bool *writable, bool *huge)
+    {
+        *huge = false;
+        auto h = find(huge_, hugeBaseOf(vpn), pcid);
+        if (h != huge_.end()) {
+            huge_.splice(huge_.begin(), huge_, h);
+            ++l1Hits;
+            *pfn = h->pfn + (vpn - hugeBaseOf(vpn));
+            *writable = h->writable;
+            *huge = true;
+            return TlbResult::HitL1;
+        }
+        auto e = find(l1_, vpn, pcid);
+        if (e != l1_.end()) {
+            l1_.splice(l1_.begin(), l1_, e);
+            ++l1Hits;
+            *pfn = e->pfn;
+            *writable = e->writable;
+            return TlbResult::HitL1;
+        }
+        e = find(l2_, vpn, pcid);
+        if (e == l2_.end()) {
+            ++misses;
+            return TlbResult::Miss;
+        }
+        ++l2Hits;
+        *pfn = e->pfn;
+        *writable = e->writable;
+        const Entry promoted = *e;
+        l2_.erase(e);
+        pushL1(promoted);
+        return TlbResult::HitL2;
+    }
+
+    bool
+    probePfn(Vpn vpn, Pcid pcid, Pfn *pfn) const
+    {
+        for (const List *level : {&l1_, &l2_}) {
+            for (const Entry &e : *level) {
+                if (e.vpn == vpn && e.pcid == pcid) {
+                    *pfn = e.pfn;
+                    return true;
+                }
+            }
+        }
+        return probeHugePfn(vpn, pcid, pfn);
+    }
+
+    bool
+    probeHugePfn(Vpn vpn, Pcid pcid, Pfn *pfn) const
+    {
+        for (const Entry &e : huge_) {
+            if (e.vpn == hugeBaseOf(vpn) && e.pcid == pcid) {
+                *pfn = e.pfn;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void
+    insert(Vpn vpn, Pfn pfn, Pcid pcid, bool writable)
+    {
+        const Entry e{vpn, pcid, pfn, writable};
+        Entry old;
+        const bool existed =
+            take(l1_, vpn, pcid, &old) || take(l2_, vpn, pcid, &old);
+        const bool same_frame = existed && old.pfn == pfn;
+        if (existed && !same_frame)
+            note('-', old);
+        if (!same_frame)
+            note('+', e);
+        pushL1(e);
+    }
+
+    void
+    insertHuge(Vpn base_vpn, Pfn pfn, Pcid pcid, bool writable)
+    {
+        const Entry e{hugeBaseOf(base_vpn), pcid, pfn, writable};
+        Entry old;
+        const bool existed = take(huge_, e.vpn, pcid, &old);
+        const bool same_frame = existed && old.pfn == pfn;
+        if (existed && !same_frame)
+            note('-', old);
+        if (!same_frame)
+            note('+', e);
+        huge_.push_front(e);
+        if (huge_.size() > hugeCap_) {
+            note('-', huge_.back());
+            huge_.pop_back();
+        }
+    }
+
+    void
+    invalidatePage(Vpn vpn, Pcid pcid)
+    {
+        Entry old;
+        if (take(l1_, vpn, pcid, &old))
+            note('-', old);
+        if (take(l2_, vpn, pcid, &old))
+            note('-', old);
+        if (take(huge_, hugeBaseOf(vpn), pcid, &old))
+            note('-', old);
+    }
+
+    void
+    invalidateRange(Vpn start, Vpn end, Pcid pcid)
+    {
+        auto covers = [&](const Entry &e) {
+            return e.vpn >= start && e.vpn <= end;
+        };
+        invalidateIn(l1_, start, end, 1, pcid, covers);
+        invalidateIn(l2_, start, end, 1, pcid, covers);
+        invalidateIn(huge_, hugeBaseOf(start), hugeBaseOf(end),
+                     kHugePageSpan, pcid, [&](const Entry &e) {
+                         return e.vpn <= end &&
+                                e.vpn + kHugePageSpan - 1 >= start;
+                     });
+    }
+
+    void
+    invalidatePcid(Pcid pcid)
+    {
+        for (List *level : {&l1_, &l2_, &huge_})
+            removeIf(*level,
+                     [&](const Entry &e) { return e.pcid == pcid; });
+    }
+
+    void
+    flushAll()
+    {
+        ++flushes;
+        for (List *level : {&l1_, &l2_, &huge_}) {
+            for (const Entry &e : *level)
+                note('-', e);
+            level->clear();
+        }
+    }
+
+    std::size_t
+    size() const
+    {
+        return l1_.size() + l2_.size() + huge_.size();
+    }
+
+    std::size_t hugeSize() const { return huge_.size(); }
+
+    /** The entries of L1 (0), L2 (1) or the 2 MiB array (2). */
+    const List &
+    level(unsigned i) const
+    {
+        return i == 0 ? l1_ : (i == 1 ? l2_ : huge_);
+    }
+
+    std::vector<std::tuple<char, Vpn, Pfn, Pcid>> log;
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t flushes = 0;
+
+  private:
+    static List::iterator
+    find(List &level, Vpn vpn, Pcid pcid)
+    {
+        for (auto it = level.begin(); it != level.end(); ++it)
+            if (it->vpn == vpn && it->pcid == pcid)
+                return it;
+        return level.end();
+    }
+
+    static bool
+    take(List &level, Vpn vpn, Pcid pcid, Entry *out)
+    {
+        auto it = find(level, vpn, pcid);
+        if (it == level.end())
+            return false;
+        *out = *it;
+        level.erase(it);
+        return true;
+    }
+
+    void
+    note(char what, const Entry &e)
+    {
+        log.emplace_back(what, e.vpn, e.pfn, e.pcid);
+    }
+
+    /** L1 takes @p e; overflow spills L1's LRU to L2, then out. */
+    void
+    pushL1(const Entry &e)
+    {
+        l1_.push_front(e);
+        if (l1_.size() <= l1Cap_)
+            return;
+        l2_.splice(l2_.begin(), l1_, std::prev(l1_.end()));
+        if (l2_.size() > l2Cap_) {
+            note('-', l2_.back());
+            l2_.pop_back();
+        }
+    }
+
+    template <typename Pred>
+    void
+    removeIf(List &level, Pred &&pred)
+    {
+        for (auto it = level.begin(); it != level.end();) {
+            if (pred(*it)) {
+                note('-', *it);
+                it = level.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+
+    /**
+     * The TLB probes key by key, ascending, when the range holds fewer
+     * keys (@p step apart) than the level has entries, and scans the
+     * level MRU first otherwise; the order of removals follows.
+     */
+    template <typename Overlaps>
+    void
+    invalidateIn(List &level, Vpn first, Vpn last, Vpn step, Pcid pcid,
+                 Overlaps &&overlaps)
+    {
+        const std::uint64_t keys = (last - first) / step + 1;
+        if (keys == 0 || keys >= level.size()) {
+            removeIf(level, [&](const Entry &e) {
+                return e.pcid == pcid && overlaps(e);
+            });
+            return;
+        }
+        Entry old;
+        for (Vpn v = first;; v += step) {
+            if (take(level, v, pcid, &old))
+                note('-', old);
+            if (v == last)
+                break;
+        }
+    }
+
+    unsigned l1Cap_;
+    unsigned l2Cap_;
+    unsigned hugeCap_;
+    List l1_;
+    List l2_;
+    List huge_;
+};
+
+class TlbMatchesReference
+    : public ::testing::TestWithParam<
+          std::tuple<unsigned, unsigned, unsigned>>
+{
+};
+
+TEST_P(TlbMatchesReference, SeededOpMixes)
+{
+    const auto [l1, l2, huge] = GetParam();
+    const unsigned capacity = l1 + l2;
+    // Base pages from twice the 4 KiB capacity under three PCIDs,
+    // centred inside twice as many huge regions as the 2 MiB array
+    // holds: hits in every array, spills, evictions and remaps.
+    const Vpn universe = 2 * capacity + 4;
+    const Vpn regions = 2 * huge + 2;
+    constexpr Vpn kCenter = 64 * kHugePageSpan;
+    const Vpn firstRegion = kCenter / kHugePageSpan - regions / 2;
+    // Rare ops scale with capacity so the big shapes still fill up.
+    const std::uint64_t rareRoll = 8 * (capacity + 50);
+    const int ops = static_cast<int>(12 * (capacity + 50) + 4000);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Tlb tlb(0, l1, l2, huge);
+        LogListener got;
+        tlb.setListener(&got);
+        ReferenceTlb ref(l1, l2, huge);
+        Rng rng(seed * 1000 + capacity);
+        auto regionBase = [&] {
+            return (firstRegion + rng.nextBounded(regions)) *
+                   kHugePageSpan;
+        };
+        auto randomVpn = [&]() -> Vpn {
+            if (rng.nextBounded(2) == 0)
+                return kCenter - universe / 2 + rng.nextBounded(universe);
+            return regionBase() + rng.nextBounded(kHugePageSpan);
+        };
+        auto randomPcid = [&] {
+            return static_cast<Pcid>(rng.nextBounded(3));
+        };
+        /** A live entry of level @p i, or nullptr when it is empty. */
+        auto liveEntry = [&](unsigned i) -> const ReferenceTlb::Entry * {
+            const ReferenceTlb::List &level = ref.level(i);
+            if (level.empty())
+                return nullptr;
+            return &*std::next(level.begin(),
+                               rng.nextBounded(level.size()));
+        };
+
+        for (int op = 0; op < ops; ++op) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                         std::to_string(op));
+            const std::uint64_t rare = rng.nextBounded(rareRoll);
+            const std::uint64_t roll = rng.nextBounded(100);
+            if (rare == 0) {
+                tlb.flushAll();
+                ref.flushAll();
+            } else if (rare <= 2) {
+                const Pcid pcid = randomPcid();
+                tlb.invalidatePcid(pcid);
+                ref.invalidatePcid(pcid);
+            } else if (rare <= 10) {
+                // Wide: past any level's occupancy, or the whole VPN
+                // space (its span wraps to zero).
+                Vpn start = 0;
+                Vpn end = ~Vpn{0};
+                if (rng.nextBounded(4) != 0) {
+                    start = randomVpn() - rng.nextBounded(universe);
+                    end = start + universe +
+                          rng.nextBounded(4 * kHugePageSpan);
+                }
+                const Pcid pcid = randomPcid();
+                tlb.invalidateRange(start, end, pcid);
+                ref.invalidateRange(start, end, pcid);
+            } else if (roll < 30) {
+                const Vpn vpn = randomVpn();
+                const Pcid pcid = randomPcid();
+                Pfn pfn = 0, ref_pfn = 0;
+                bool w = false, ref_w = false, hg = false, ref_hg = false;
+                ASSERT_EQ(
+                    tlb.lookup(vpn, pcid, &pfn, &w, &hg),
+                    ref.lookup(vpn, pcid, &ref_pfn, &ref_w, &ref_hg));
+                ASSERT_EQ(pfn, ref_pfn);
+                ASSERT_EQ(w, ref_w);
+                ASSERT_EQ(hg, ref_hg);
+            } else if (roll < 42) {
+                const Vpn vpn = randomVpn();
+                const Pcid pcid = randomPcid();
+                Pfn pfn = 0, ref_pfn = 0;
+                const bool hit = ref.probePfn(vpn, pcid, &ref_pfn);
+                ASSERT_EQ(tlb.probe(vpn, pcid), hit);
+                ASSERT_EQ(tlb.probePfn(vpn, pcid, &pfn), hit);
+                ASSERT_EQ(pfn, ref_pfn);
+                pfn = ref_pfn = 0;
+                const bool huge_hit =
+                    ref.probeHugePfn(vpn, pcid, &ref_pfn);
+                ASSERT_EQ(tlb.probeHuge(vpn, pcid), huge_hit);
+                ASSERT_EQ(tlb.probeHugePfn(vpn, pcid, &pfn), huge_hit);
+                ASSERT_EQ(pfn, ref_pfn);
+            } else if (roll < 70) {
+                // Fresh, remap (new frame) or permission-only insert.
+                Vpn vpn = randomVpn();
+                Pcid pcid = randomPcid();
+                Pfn pfn = rng.nextBounded(1 << 20);
+                bool writable = rng.nextBounded(2) != 0;
+                if (const ReferenceTlb::Entry *live =
+                        roll < 58 ? nullptr
+                                  : liveEntry(rng.nextBounded(2))) {
+                    vpn = live->vpn;
+                    pcid = live->pcid;
+                    if (roll < 64) {
+                        pfn = live->pfn + 1 + rng.nextBounded(100);
+                    } else {
+                        pfn = live->pfn;
+                        writable = !live->writable;
+                    }
+                }
+                tlb.insert(vpn, pfn, pcid, writable);
+                ref.insert(vpn, pfn, pcid, writable);
+            } else if (roll < 76) {
+                Vpn base = regionBase() + rng.nextBounded(kHugePageSpan);
+                Pcid pcid = randomPcid();
+                Pfn pfn = rng.nextBounded(1 << 20) * kHugePageSpan;
+                if (const ReferenceTlb::Entry *live =
+                        roll < 73 ? liveEntry(2) : nullptr) {
+                    base = live->vpn;
+                    pcid = live->pcid;
+                    if (rng.nextBounded(2) == 0)
+                        pfn = live->pfn;
+                }
+                const bool writable = rng.nextBounded(2) != 0;
+                tlb.insertHuge(base, pfn, pcid, writable);
+                ref.insertHuge(base, pfn, pcid, writable);
+            } else if (roll < 88) {
+                const Vpn vpn = randomVpn();
+                const Pcid pcid = randomPcid();
+                tlb.invalidatePage(vpn, pcid);
+                ref.invalidatePage(vpn, pcid);
+            } else {
+                // Narrow, half of them straddling a huge base.
+                Vpn start = randomVpn();
+                if (roll < 94)
+                    start = regionBase() - rng.nextBounded(4);
+                const Vpn end = start + rng.nextBounded(8);
+                const Pcid pcid = randomPcid();
+                tlb.invalidateRange(start, end, pcid);
+                ref.invalidateRange(start, end, pcid);
+            }
+            ASSERT_EQ(got.log, ref.log);
+            got.log.clear();
+            ref.log.clear();
+            ASSERT_EQ(tlb.size(), ref.size());
+            ASSERT_EQ(tlb.hugeSize(), ref.hugeSize());
+            ASSERT_EQ(tlb.l1Hits(), ref.l1Hits);
+            ASSERT_EQ(tlb.l2Hits(), ref.l2Hits);
+            ASSERT_EQ(tlb.misses(), ref.misses);
+            ASSERT_EQ(tlb.flushes(), ref.flushes);
+        }
+        // The mix reached every path it exists to compare.
+        EXPECT_GT(ref.l1Hits, 0u);
+        EXPECT_GT(ref.l2Hits, 0u);
+        EXPECT_GT(ref.misses, 0u);
+        EXPECT_GT(ref.flushes, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TlbMatchesReference,
+    ::testing::Values(std::make_tuple(1u, 1u, 1u),
+                      std::make_tuple(2u, 3u, 2u),
+                      std::make_tuple(4u, 8u, 4u),
+                      std::make_tuple(64u, 512u, 32u),
+                      std::make_tuple(64u, 1024u, 32u)));
 
 } // namespace
 } // namespace latr
