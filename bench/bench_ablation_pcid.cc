@@ -110,7 +110,7 @@ runCase(PolicyKind policy, bool pcid)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ablation_pcid", argc, argv, {});
+    Args().parse(argc, argv);
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: PCIDs",
                   "two processes per core, with and without PCIDs",

@@ -18,7 +18,7 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ablation_reclaim", argc, argv, {});
+    Args().parse(argc, argv);
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: reclamation delay",
                   "why LATR waits two tick periods before reuse",

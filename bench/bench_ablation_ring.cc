@@ -17,7 +17,7 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ablation_ring", argc, argv, {});
+    Args().parse(argc, argv);
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: ring size",
                   "LATR states per core vs. fallback-IPI rate",

@@ -48,7 +48,7 @@ runCase(bool sweep_at_switch)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ablation_sweep", argc, argv, {});
+    Args().parse(argc, argv);
     MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Ablation: sweep sites",
                   "tick-only sweeps vs. tick+context-switch sweeps",

@@ -390,15 +390,13 @@ runBigMachine(bool no_fastpath, BigMachineCounters &counters)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_engine", argc, argv,
-                             {"--json=", "--check-against=",
-                              "--max-regression=", "--no-fastpath"});
-    const bench::GateOptions gate =
-        bench::gateOptionsFromArgs("bench_engine", argc, argv);
+    std::string json_path;
+    bench::GateOptions gate;
     bool noFastpath = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--no-fastpath") == 0)
-            noFastpath = true;
+    Args args;
+    args.text("--json", &json_path).flag("--no-fastpath", &noFastpath);
+    gate.declare(args);
+    args.parse(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Engine", "simulation-engine throughput", config);
@@ -501,7 +499,7 @@ main(int argc, char **argv)
         "pred IPI fan-out -%.1f%% vs LATR",
         stormEps, bigEps, 100.0 * big.reductionVsLatr());
     json.baselineFile(gate.baseline);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
 
     std::vector<std::pair<std::string, double>> measured;
     for (const ScenarioResult &r : results)

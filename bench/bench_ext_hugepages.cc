@@ -65,7 +65,7 @@ munmap2M(PolicyKind kind, bool huge)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ext_hugepages", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Extension: huge pages",
                   "munmap(2 MiB) as 512 base pages vs. one huge page",

@@ -54,7 +54,7 @@ runCase(Assist assist)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ext_hw_assist", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Extension: hardware assists for LATR",
                   "CAT-partitioned states and scratchpad states",

@@ -180,7 +180,7 @@ report(const char *name, const LazyOpResult &linux_r,
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_ext_lazyops", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = smallConfig();
     bench::banner("Extension: lazy-capable operations",
                   "swap, deduplication, compaction (table 1 rows)",

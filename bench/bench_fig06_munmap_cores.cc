@@ -55,11 +55,13 @@ capturePoint(const bench::TraceOptions &trace)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig06_munmap_cores", argc, argv,
-                             {"--json=", "--jobs=", "--trace=",
-                              "--trace-text=", "--trace-capacity="});
-    const bench::TraceOptions trace =
-        bench::traceOptionsFromArgs(argc, argv);
+    unsigned jobs = 0;
+    std::string json_path;
+    bench::TraceOptions trace;
+    Args args;
+    args.number("--jobs", &jobs, 0, 1024).text("--json", &json_path);
+    trace.declare(args);
+    args.parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 6", "munmap(1 page) cost vs. sharing cores",
                   config);
@@ -85,8 +87,7 @@ main(int argc, char **argv)
         MunmapMicrobenchResult linuxR;
         MunmapMicrobenchResult latrR;
     };
-    bench::ParallelRunner<Point> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<Point> runner(jobs);
     for (unsigned cores : core_counts) {
         runner.submit([cores] {
             Point p;
@@ -99,8 +100,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json("Figure 6",
                            "munmap(1 page) cost vs. sharing cores");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{runner.jobs()});
     double linux16 = 0, latr16 = 0, linux16_sd = 0;
     for (const Point &p : runner.run()) {
         const MunmapMicrobenchResult &linux_r = p.linuxR;
@@ -138,7 +138,7 @@ main(int argc, char **argv)
         "at 16 cores: Linux %.2f us, LATR %.2f us, improvement %.1f%%",
         bench::us(linux16), bench::us(latr16),
         100.0 * (linux16 - latr16) / linux16);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
     if (trace.wanted())
         capturePoint(trace);
     return 0;

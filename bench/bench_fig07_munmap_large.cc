@@ -34,8 +34,11 @@ runPoint(PolicyKind policy, unsigned cores)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig07_munmap_large", argc, argv,
-                             {"--json=", "--jobs="});
+    unsigned jobs = 0;
+    std::string json_path;
+    Args args;
+    args.number("--jobs", &jobs, 0, 1024).text("--json", &json_path);
+    args.parse(argc, argv);
     const MachineConfig config = MachineConfig::largeNuma8S120C();
     bench::banner("Figure 7",
                   "munmap(1 page) cost vs. cores, 8-socket machine",
@@ -58,8 +61,7 @@ main(int argc, char **argv)
         MunmapMicrobenchResult linuxR;
         MunmapMicrobenchResult latrR;
     };
-    bench::ParallelRunner<Point> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<Point> runner(jobs);
     for (unsigned cores : core_counts) {
         runner.submit([cores] {
             Point p;
@@ -72,8 +74,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json(
         "Figure 7", "munmap(1 page) cost vs. cores, 8-socket machine");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{runner.jobs()});
     double linux120 = 0, latr120 = 0, linux120_sd = 0;
     for (const Point &p : runner.run()) {
         const MunmapMicrobenchResult &linux_r = p.linuxR;
@@ -113,6 +114,6 @@ main(int argc, char **argv)
         "%.1f%%",
         bench::us(linux120), bench::us(latr120),
         100.0 * (linux120 - latr120) / linux120);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
     return 0;
 }

@@ -36,8 +36,11 @@ runPoint(PolicyKind policy, std::uint64_t pages)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig08_munmap_pages", argc, argv,
-                             {"--json=", "--jobs="});
+    unsigned jobs = 0;
+    std::string json_path;
+    Args args;
+    args.number("--jobs", &jobs, 0, 1024).text("--json", &json_path);
+    args.parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 8",
                   "munmap cost vs. page count (16 cores)", config);
@@ -57,8 +60,7 @@ main(int argc, char **argv)
         MunmapMicrobenchResult linuxR;
         MunmapMicrobenchResult latrR;
     };
-    bench::ParallelRunner<Point> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<Point> runner(jobs);
     for (std::uint64_t pages = 1; pages <= 512; pages *= 2) {
         runner.submit([pages] {
             Point p;
@@ -71,8 +73,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json("Figure 8",
                            "munmap cost vs. page count (16 cores)");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{runner.jobs()});
     double improv1 = 0, improv512 = 0;
     std::uint64_t holdback512 = 0;
     for (const Point &p : runner.run()) {
@@ -112,6 +113,6 @@ main(int argc, char **argv)
     json.headline(
         "improvement %.1f%% at 1 page -> %.1f%% at 512 pages",
         improv1, improv512);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
     return 0;
 }

@@ -32,7 +32,7 @@ runPoint(PolicyKind policy, unsigned workers)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig09_apache", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 9 (and Figure 1)",
                   "Apache requests/s and shootdowns/s vs. cores",

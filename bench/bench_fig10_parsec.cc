@@ -15,7 +15,7 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig10_parsec", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 10",
                   "PARSEC normalized runtime + shootdowns/s (16 cores)",

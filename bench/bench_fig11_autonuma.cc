@@ -15,7 +15,7 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig11_autonuma", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 11",
                   "AutoNUMA: normalized runtime + migrations/s",

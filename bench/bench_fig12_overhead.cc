@@ -14,7 +14,7 @@ using namespace latr;
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_fig12_overhead", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Figure 12",
                   "overhead on applications with few shootdowns",

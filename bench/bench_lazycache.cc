@@ -50,11 +50,12 @@ runPolicy(const std::string &name, PolicyKind kind,
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_lazycache", argc, argv,
-                             {"--json=", "--check-against=",
-                              "--max-regression="});
-    const bench::GateOptions gate =
-        bench::gateOptionsFromArgs("bench_lazycache", argc, argv);
+    std::string json_path;
+    bench::GateOptions gate;
+    Args args;
+    args.text("--json", &json_path);
+    gate.declare(args);
+    args.parse(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner(
@@ -162,7 +163,7 @@ main(int argc, char **argv)
     json.headline("LATR %.2fM events/s vs Linux %.2fM events/s",
                   latrEvents / 1e6, linuxEvents / 1e6);
     json.baselineFile(gate.baseline);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
 
     std::vector<std::pair<std::string, double>> measured;
     for (const CacheRow &row : rows)

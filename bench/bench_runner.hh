@@ -18,33 +18,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
 
 namespace latr::bench
 {
-
-/**
- * `--jobs=N` from the bench's argv. N=0 (or the flag absent) means
- * one job per hardware thread.
- */
-inline unsigned
-jobsFromArgs(int argc, char **argv)
-{
-    unsigned jobs = 0;
-    for (int i = 1; i < argc; ++i)
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            jobs = static_cast<unsigned>(std::atoi(argv[i] + 7));
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    return jobs;
-}
 
 /**
  * Collects closures returning R and runs them across a thread pool.
@@ -54,8 +33,18 @@ template <typename R>
 class ParallelRunner
 {
   public:
-    /** @param jobs worker count; 1 runs inline on the caller. */
-    explicit ParallelRunner(unsigned jobs) : jobs_(jobs ? jobs : 1) {}
+    /**
+     * @param jobs worker count (`--jobs=N`); 1 runs inline on the
+     *        caller, 0 means one per hardware thread.
+     */
+    explicit ParallelRunner(unsigned jobs)
+        : jobs_(jobs ? jobs
+                     : std::max(1u, std::thread::hardware_concurrency()))
+    {
+    }
+
+    /** The resolved worker count. */
+    unsigned jobs() const { return jobs_; }
 
     /** Queue a job. @return its index into run()'s result vector. */
     std::size_t

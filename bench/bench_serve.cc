@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,15 +60,14 @@ runPolicy(const std::string &name, PolicyKind kind,
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_serve", argc, argv,
-                             {"--json=", "--check-against=",
-                              "--max-regression=", "--per-tenant"});
-    const bench::GateOptions gate =
-        bench::gateOptionsFromArgs("bench_serve", argc, argv);
+    std::string json_path;
+    bench::GateOptions gate;
     ServeOptions serveOptions;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--per-tenant") == 0)
-            serveOptions.perTenantLatency = true;
+    Args args;
+    args.text("--json", &json_path)
+        .flag("--per-tenant", &serveOptions.perTenantLatency);
+    gate.declare(args);
+    args.parse(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Serve",
@@ -179,7 +177,7 @@ main(int argc, char **argv)
         predP99,
         latrP99 > 0 ? 100.0 * (predP99 - latrP99) / latrP99 : 0.0);
     json.baselineFile(gate.baseline);
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
 
     std::vector<std::pair<std::string, double>> measured;
     for (const ServeRow &row : rows)

@@ -41,8 +41,11 @@ const OperationRow kRows[] = {
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_table1_operations", argc, argv,
-                             {"--json=", "--jobs="});
+    unsigned jobs = 0;
+    std::string json_path;
+    Args args;
+    args.number("--jobs", &jobs, 0, 1024).text("--json", &json_path);
+    args.parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 1",
                   "virtual-address operations and lazy feasibility",
@@ -55,8 +58,7 @@ main(int argc, char **argv)
     // One probe machine; routed through the runner so this binary
     // accepts the same --jobs flag as the sweep benches (and stays
     // byte-identical at any job count).
-    bench::ParallelRunner<PolicyCapabilities> runner(
-        bench::jobsFromArgs(argc, argv));
+    bench::ParallelRunner<PolicyCapabilities> runner(jobs);
     runner.submit([&config] {
         Machine machine(config, PolicyKind::Latr);
         return machine.policy().capabilities();
@@ -65,8 +67,7 @@ main(int argc, char **argv)
 
     bench::JsonWriter json(
         "Table 1", "virtual-address operations and lazy feasibility");
-    json.config("jobs",
-                std::uint64_t{bench::jobsFromArgs(argc, argv)});
+    json.config("jobs", std::uint64_t{runner.jobs()});
     std::printf("%-12s %-16s %-34s %s\n", "class", "operation",
                 "description", "lazy?");
     bench::rule();
@@ -96,6 +97,6 @@ main(int argc, char **argv)
         consistent ? "yes" : "NO (bug)");
     json.headline("LatrPolicy capabilities agree with the table: %s",
                   consistent ? "yes" : "NO (bug)");
-    json.write(bench::jsonPathFromArgs(argc, argv));
+    json.write(json_path);
     return consistent ? 0 : 1;
 }

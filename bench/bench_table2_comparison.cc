@@ -28,7 +28,7 @@ printRow(const char *name, const PolicyCapabilities &caps)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_table2_comparison", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 2", "comparison of shootdown approaches",
                   config);

@@ -63,7 +63,7 @@ missRatio(PolicyKind policy, const CacheCase &c)
 int
 main(int argc, char **argv)
 {
-    bench::rejectUnknownArgs("bench_table4_cache", argc, argv, {});
+    Args().parse(argc, argv);
     const MachineConfig config = MachineConfig::commodity2S16C();
     bench::banner("Table 4", "application LLC miss ratio", config);
     bench::paperExpectation(

@@ -9,20 +9,22 @@
 #ifndef LATR_BENCH_BENCH_UTIL_HH_
 #define LATR_BENCH_BENCH_UTIL_HH_
 
-#include <cmath>
+#include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "machine/machine.hh"
+#include "sim/args.hh"
 #include "topo/machine_config.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/text_dump.hh"
@@ -98,6 +100,14 @@ gitSha()
         return out;
     }();
     return sha;
+}
+
+/** Exit 2 on an output file that cannot be written (@p what: kind). */
+[[noreturn]] inline void
+cannotWrite(const char *what, const std::string &path)
+{
+    std::fprintf(stderr, "%s: cannot write '%s'\n", what, path.c_str());
+    std::exit(2);
 }
 
 /**
@@ -220,7 +230,7 @@ class JsonWriter
             return;
         std::FILE *f = std::fopen(path.c_str(), "w");
         if (!f)
-            cannotWrite(path);
+            cannotWrite("json", path);
         std::fprintf(f, "{\n  \"experiment\": %s,\n",
                      quote(experiment_).c_str());
         std::fprintf(f, "  \"description\": %s,\n",
@@ -248,17 +258,10 @@ class JsonWriter
         std::fprintf(f, "\n  ]\n}\n");
         const bool failed = std::ferror(f) != 0;
         if (std::fclose(f) != 0 || failed)
-            cannotWrite(path);
+            cannotWrite("json", path);
     }
 
   private:
-    [[noreturn]] static void
-    cannotWrite(const std::string &path)
-    {
-        std::fprintf(stderr, "json: cannot write '%s'\n", path.c_str());
-        std::exit(2);
-    }
-
     static std::string
     quote(const std::string &s)
     {
@@ -284,47 +287,6 @@ class JsonWriter
         rows_;
 };
 
-/** `--json=FILE` from the bench's argv ("" when absent). */
-inline std::string
-jsonPathFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strncmp(argv[i], "--json=", 7) == 0)
-            return argv[i] + 7;
-    return "";
-}
-
-/**
- * Exit 2 with a one-line message if any argument is not in
- * @p accepted. An entry ending in '=' takes a value and matches by
- * prefix; any other entry is a switch and matches exactly. Benches
- * with a closed argument list call this before simulating, so a
- * stale or misspelt flag fails instead of running the defaults.
- */
-inline void
-rejectUnknownArgs(const char *bench, int argc, char **argv,
-                  std::initializer_list<const char *> accepted)
-{
-    for (int i = 1; i < argc; ++i) {
-        bool known = false;
-        for (const char *a : accepted) {
-            const std::size_t n = std::strlen(a);
-            known = a[n - 1] == '=' ? std::strncmp(argv[i], a, n) == 0
-                                    : std::strcmp(argv[i], a) == 0;
-            if (known)
-                break;
-        }
-        if (known)
-            continue;
-        std::string list;
-        for (const char *a : accepted)
-            list += std::string(" ") + a;
-        std::fprintf(stderr, "%s: unknown argument '%s' (accepted:%s)\n",
-                     bench, argv[i], list.c_str());
-        std::exit(2);
-    }
-}
-
 /**
  * The `--check-against=FILE` and `--max-regression=X` options of a
  * gated bench. X is a fraction (0.30) or a percentage (30).
@@ -334,38 +296,14 @@ struct GateOptions
     /** Baseline BENCH_*.json to gate against; empty = ungated. */
     std::string baseline;
     double maxRegression = 0.30;
-};
 
-/**
- * Parse the gate options from @p argv. A --max-regression that is not
- * a non-negative number exits 2 before the bench simulates.
- */
-inline GateOptions
-gateOptionsFromArgs(const char *bench, int argc, char **argv)
-{
-    GateOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--check-against=", 16) == 0) {
-            opts.baseline = argv[i] + 16;
-            continue;
-        }
-        if (std::strncmp(argv[i], "--max-regression=", 17) != 0)
-            continue;
-        const char *text = argv[i] + 17;
-        char *end = nullptr;
-        const double value = std::strtod(text, &end);
-        if (end == text || *end != '\0' || !std::isfinite(value) ||
-            value < 0) {
-            std::fprintf(stderr,
-                         "%s: --max-regression wants a non-negative "
-                         "number, got '%s'\n",
-                         bench, text);
-            std::exit(2);
-        }
-        opts.maxRegression = value > 1.0 ? value / 100.0 : value;
+    void
+    declare(Args &args)
+    {
+        args.text("--check-against", &baseline)
+            .real("--max-regression", &maxRegression, 0, 100);
     }
-    return opts;
-}
+};
 
 /** The side of its baseline a gated metric must stay on. */
 enum class GateBound
@@ -438,6 +376,9 @@ checkBaseline(const char *bench, const GateOptions &opts,
                      bench, opts.baseline.c_str());
         return 2;
     }
+    const double max = opts.maxRegression > 1.0
+                           ? opts.maxRegression / 100.0
+                           : opts.maxRegression;
     bool failed = false;
     for (const auto &base : baseline) {
         if (gated && !gated(base.first))
@@ -461,8 +402,7 @@ checkBaseline(const char *bench, const GateOptions &opts,
         }
         const bool floor = bound == GateBound::Floor;
         const double limit =
-            base.second * (floor ? 1.0 - opts.maxRegression
-                                 : 1.0 + opts.maxRegression);
+            base.second * (floor ? 1.0 - max : 1.0 + max);
         const bool ok =
             floor ? got->second >= limit : got->second <= limit;
         std::printf(line_format, base.first.c_str(), got->second,
@@ -473,16 +413,24 @@ checkBaseline(const char *bench, const GateOptions &opts,
 }
 
 /**
- * Tracing knobs shared by the benches: parsed from the bench's argv
- * (`--trace=FILE`, `--trace-text=FILE`, `--trace-capacity=N`).
- * Benches run many machines; each picks one representative point to
- * arm with applyTrace()/finishTrace().
+ * Tracing knobs shared by the benches (`--trace=FILE`,
+ * `--trace-text=FILE`, `--trace-capacity=N`). Benches run many
+ * machines; each picks one representative point to arm with
+ * applyTrace()/finishTrace().
  */
 struct TraceOptions
 {
     std::string jsonPath;
     std::string textPath;
-    std::size_t capacity = 0; // 0 = recorder default
+    std::size_t capacity = TraceRecorder::kDefaultCapacity;
+
+    void
+    declare(Args &args)
+    {
+        args.text("--trace", &jsonPath)
+            .text("--trace-text", &textPath)
+            .number("--trace-capacity", &capacity, 1, 1 << 24);
+    }
 
     bool wanted() const
     {
@@ -490,69 +438,66 @@ struct TraceOptions
     }
 };
 
-inline TraceOptions
-traceOptionsFromArgs(int argc, char **argv)
-{
-    TraceOptions opts;
-    auto value = [](const char *arg,
-                    const char *key) -> const char * {
-        const std::size_t n = std::strlen(key);
-        if (std::strncmp(arg, key, n) == 0 && arg[n] == '=')
-            return arg + n + 1;
-        return nullptr;
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = value(argv[i], "--trace"))
-            opts.jsonPath = v;
-        else if (const char *v = value(argv[i], "--trace-text"))
-            opts.textPath = v;
-        else if (const char *v = value(argv[i], "--trace-capacity"))
-            opts.capacity =
-                static_cast<std::size_t>(std::atoll(v));
-    }
-    return opts;
-}
-
 /** Arm @p machine's recorder per @p opts (no-op when not wanted). */
 inline void
 applyTrace(Machine &machine, const TraceOptions &opts)
 {
     if (!opts.wanted())
         return;
-    if (opts.capacity != 0)
-        machine.trace().setCapacity(opts.capacity);
+    machine.trace().setCapacity(opts.capacity);
     machine.trace().setEnabled(true);
 }
 
-/** Write the armed machine's trace to the requested files. */
+/**
+ * Write the armed machine's trace to the requested files. A file that
+ * cannot be written exits 2, as JsonWriter::write() does.
+ */
 inline void
 finishTrace(Machine &machine, const TraceOptions &opts)
 {
     if (!opts.jsonPath.empty()) {
-        if (writeChromeTraceFile(machine.trace(), &machine.topo(),
-                                 opts.jsonPath))
-            std::fprintf(stderr, "trace: %llu records -> %s\n",
-                         static_cast<unsigned long long>(
-                             machine.trace().size()),
-                         opts.jsonPath.c_str());
-        else
-            std::fprintf(stderr, "trace: cannot write '%s'\n",
-                         opts.jsonPath.c_str());
+        if (!writeChromeTraceFile(machine.trace(), &machine.topo(),
+                                  opts.jsonPath))
+            cannotWrite("trace", opts.jsonPath);
+        std::fprintf(stderr, "trace: %llu records -> %s\n",
+                     static_cast<unsigned long long>(
+                         machine.trace().size()),
+                     opts.jsonPath.c_str());
     }
     if (!opts.textPath.empty()) {
         TextDumpOptions text;
         std::FILE *f = opts.textPath == "-"
                            ? stdout
                            : std::fopen(opts.textPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "trace: cannot write '%s'\n",
-                         opts.textPath.c_str());
-            return;
-        }
+        if (!f)
+            cannotWrite("trace", opts.textPath);
         writeTextTimeline(machine.trace(), text, f);
-        if (f != stdout)
-            std::fclose(f);
+        if (f != stdout && std::fclose(f) != 0)
+            cannotWrite("trace", opts.textPath);
     }
+}
+
+/**
+ * Host nanoseconds per call of @p call, the minimum over @p rounds
+ * batches. Each round first runs @p prepare untimed, which returns the
+ * batch size n, then times call(0) .. call(n - 1). The minimum keeps
+ * the batch the host disturbed least.
+ */
+template <typename Prepare, typename Call>
+double
+minNsPerCall(unsigned rounds, Prepare prepare, Call call)
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (unsigned r = 0; r < rounds; ++r) {
+        const unsigned n = prepare();
+        const auto start = std::chrono::steady_clock::now();
+        for (unsigned i = 0; i < n; ++i)
+            call(i);
+        const std::chrono::duration<double, std::nano> took =
+            std::chrono::steady_clock::now() - start;
+        best = std::min(best, took.count() / n);
+    }
+    return best;
 }
 
 } // namespace latr::bench

@@ -11,16 +11,15 @@
 // Exit status: 0 when every run is clean and equivalent, 1 on any
 // oracle violation or cross-policy divergence, 2 on usage errors.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "check/executor.hh"
 #include "check/fuzzer.hh"
 #include "check/script.hh"
+#include "sim/args.hh"
 
 using namespace latr;
 
@@ -32,10 +31,11 @@ struct Options
     unsigned fuzz = 0;
     unsigned digest = 0;
     std::string replayPath;
-    std::string policy; // empty = all five
+    std::optional<PolicyKind> policy; // unset = all five
     std::uint64_t seed = 1;
     unsigned ops = 400;
-    int pcid = -1; // -1 = alternate (fuzz) / script header (replay)
+    /** Unset = alternate (fuzz) / the script header's (replay). */
+    std::optional<bool> pcid;
     std::string machine = "small";
     bool noFastpath = false;
     std::string outDir = ".";
@@ -77,126 +77,6 @@ usage(const char *argv0)
         argv0);
 }
 
-/**
- * Parse @p text, the value of @p flag, as a decimal number no larger
- * than @p max: digits only, so a sign, a blank or a trailing
- * character is refused. A bad value exits 2 before any script runs;
- * strtoul alone would wrap --fuzz=-5 into a four-billion-script
- * campaign and read --fuzz=3x as 3.
- */
-std::uint64_t
-numberArg(const char *flag, const char *text, std::uint64_t max)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (text[0] < '0' || text[0] > '9' || *end != '\0' ||
-        errno == ERANGE || v > max) {
-        std::fprintf(stderr,
-                     "latrsim_check: %s wants a number in 0..%llu, "
-                     "not '%s'\n",
-                     flag, static_cast<unsigned long long>(max), text);
-        std::exit(2);
-    }
-    return v;
-}
-
-bool
-parseArg(Options &opts, const char *arg, const char *next,
-         bool *consumed_next)
-{
-    constexpr std::uint64_t kMaxUnsigned =
-        std::numeric_limits<unsigned>::max();
-    *consumed_next = false;
-    auto value = [&](const char *key) -> const char * {
-        const std::size_t n = std::strlen(key);
-        if (std::strncmp(arg, key, n) != 0)
-            return nullptr;
-        if (arg[n] == '=')
-            return arg + n + 1;
-        if (arg[n] == '\0' && next) {
-            *consumed_next = true;
-            return next;
-        }
-        return nullptr;
-    };
-    if (std::strcmp(arg, "--keep-going") == 0) {
-        opts.keepGoing = true;
-        return true;
-    }
-    if (std::strcmp(arg, "--no-fastpath") == 0) {
-        opts.noFastpath = true;
-        return true;
-    }
-    if (const char *v = value("--fuzz")) {
-        opts.fuzz = static_cast<unsigned>(
-            numberArg("--fuzz", v, kMaxUnsigned));
-        return true;
-    }
-    if (const char *v = value("--digest")) {
-        opts.digest = static_cast<unsigned>(
-            numberArg("--digest", v, kMaxUnsigned));
-        return true;
-    }
-    if (const char *v = value("--machine")) {
-        opts.machine = v;
-        return true;
-    }
-    if (const char *v = value("--replay")) {
-        opts.replayPath = v;
-        return true;
-    }
-    if (const char *v = value("--policy")) {
-        opts.policy = v;
-        return true;
-    }
-    if (const char *v = value("--seed")) {
-        opts.seed = numberArg(
-            "--seed", v, std::numeric_limits<std::uint64_t>::max());
-        return true;
-    }
-    if (const char *v = value("--ops")) {
-        opts.ops =
-            static_cast<unsigned>(numberArg("--ops", v, kMaxUnsigned));
-        return true;
-    }
-    if (const char *v = value("--pcid")) {
-        opts.pcid = std::atoi(v) != 0 ? 1 : 0;
-        return true;
-    }
-    if (const char *v = value("--out")) {
-        opts.outDir = v;
-        return true;
-    }
-    if (const char *v = value("--trace")) {
-        opts.tracePath = v;
-        return true;
-    }
-    if (const char *v = value("--inject")) {
-        opts.inject = v;
-        return true;
-    }
-    return false;
-}
-
-bool
-policyOf(const std::string &name, PolicyKind *kind)
-{
-    if (name == "linux")
-        *kind = PolicyKind::LinuxSync;
-    else if (name == "latr")
-        *kind = PolicyKind::Latr;
-    else if (name == "abis")
-        *kind = PolicyKind::Abis;
-    else if (name == "barrelfish")
-        *kind = PolicyKind::Barrelfish;
-    else if (name == "pred")
-        *kind = PolicyKind::Predictive;
-    else
-        return false;
-    return true;
-}
-
 int
 replay(const Options &opts, const ExecOptions &exec)
 {
@@ -206,16 +86,11 @@ replay(const Options &opts, const ExecOptions &exec)
         std::fprintf(stderr, "latrsim_check: %s\n", err.c_str());
         return 2;
     }
-    if (opts.pcid >= 0)
-        script.pcid = opts.pcid == 1;
+    if (opts.pcid)
+        script.pcid = *opts.pcid;
 
-    if (!opts.policy.empty()) {
-        PolicyKind kind;
-        if (!policyOf(opts.policy, &kind)) {
-            std::fprintf(stderr, "unknown policy '%s'\n",
-                         opts.policy.c_str());
-            return 2;
-        }
+    if (opts.policy) {
+        const PolicyKind kind = *opts.policy;
         ExecOptions one = exec;
         if (!opts.tracePath.empty()) {
             one.trace = true;
@@ -263,7 +138,7 @@ digest(const Options &opts, const ExecOptions &exec)
         GenOptions gen;
         gen.numOps = opts.ops;
         gen.large = opts.machine == "large";
-        gen.pcid = opts.pcid >= 0 ? opts.pcid == 1 : (seed & 1) != 0;
+        gen.pcid = opts.pcid.value_or((seed & 1) != 0);
         const Script script = generateScript(seed, gen);
         for (PolicyKind kind : allPolicyKinds()) {
             const RunResult run = runScript(script, kind, exec);
@@ -313,9 +188,9 @@ fuzz(const Options &opts, const ExecOptions &exec)
     fo.outDir = opts.outDir;
     fo.stopOnFailure = !opts.keepGoing;
     fo.exec = exec;
-    if (opts.pcid >= 0) {
+    if (opts.pcid) {
         fo.mixPcid = false;
-        fo.gen.pcid = opts.pcid == 1;
+        fo.gen.pcid = *opts.pcid;
     }
     unsigned done = 0;
     fo.onIteration = [&](unsigned iter, std::uint64_t) {
@@ -361,47 +236,48 @@ fuzz(const Options &opts, const ExecOptions &exec)
 int
 main(int argc, char **argv)
 {
+    constexpr unsigned kMaxUnsigned = std::numeric_limits<unsigned>::max();
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        bool consumed_next = false;
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (!parseArg(opts, argv[i], next, &consumed_next)) {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            usage(argv[0]);
-            return 2;
-        }
-        if (consumed_next)
-            ++i;
-    }
+    PolicyKind policy = PolicyKind::Latr;
+    unsigned pcid = 0;
+    Args args;
+    args.number("--fuzz", &opts.fuzz, 0, kMaxUnsigned)
+        .number("--digest", &opts.digest, 0, kMaxUnsigned)
+        .text("--replay", &opts.replayPath)
+        .choice("--policy", &policy, policyKindFlags())
+        .number("--seed", &opts.seed, 0, ~std::uint64_t{0})
+        .number("--ops", &opts.ops, 0, kMaxUnsigned)
+        .number("--pcid", &pcid, 0, 1)
+        .choice("--machine", &opts.machine, {"small", "large"})
+        .flag("--no-fastpath", &opts.noFastpath)
+        .text("--out", &opts.outDir)
+        .text("--trace", &opts.tracePath)
+        .choice("--inject", &opts.inject,
+                {"skip-latr-sweep", "mispredict-sharers"})
+        .flag("--keep-going", &opts.keepGoing);
+    args.parse(argc, argv);
+    if (args.given("--policy"))
+        opts.policy = policy;
+    if (args.given("--pcid"))
+        opts.pcid = pcid == 1;
     const int modes = (opts.fuzz > 0) + (opts.digest > 0) +
                       !opts.replayPath.empty();
     if (modes != 1) {
         usage(argv[0]);
         return 2;
     }
-    if (opts.machine != "small" && opts.machine != "large") {
-        std::fprintf(stderr, "unknown machine '%s'\n",
-                     opts.machine.c_str());
-        return 2;
-    }
 
     ExecOptions exec;
     exec.noFastpath = opts.noFastpath;
-    if (!opts.inject.empty()) {
-        if (opts.inject == "skip-latr-sweep") {
-            exec.injectSkipLatrSweep = true;
-            std::printf("fault injection: LATR sweeps disabled — the "
-                        "staleness oracle should report violations\n");
-        } else if (opts.inject == "mispredict-sharers") {
-            exec.injectMispredictSharers = true;
-            std::printf("fault injection: sharer predictions forced "
-                        "empty — runs must stay clean (the verified "
-                        "fallback owns correctness)\n");
-        } else {
-            std::fprintf(stderr, "unknown injection '%s'\n",
-                         opts.inject.c_str());
-            return 2;
-        }
+    if (opts.inject == "skip-latr-sweep") {
+        exec.injectSkipLatrSweep = true;
+        std::printf("fault injection: LATR sweeps disabled — the "
+                    "staleness oracle should report violations\n");
+    } else if (opts.inject == "mispredict-sharers") {
+        exec.injectMispredictSharers = true;
+        std::printf("fault injection: sharer predictions forced "
+                    "empty — runs must stay clean (the verified "
+                    "fallback owns correctness)\n");
     }
 
     if (opts.digest > 0)

@@ -6,22 +6,28 @@
 //   latrsim_cli --workload=microbench --policy=linux --cores=16
 //   latrsim_cli --workload=parsec --benchmark=dedup --policy=abis
 //   latrsim_cli --workload=numa --benchmark=graph500 --policy=latr
-//   latrsim_cli --workload=serve --arrival-rate=200000 \
-//       --duration-ticks=120000000 --record=run.latrace
-//   latrsim_cli --workload=serve --replay=run.latrace --policy=linux
+//   latrsim_cli --workload=serve --arrival-rate=200000 --record=r.latrace
+//   latrsim_cli --workload=serve --replay=r.latrace --policy=linux
 //
-// Prints the headline metrics plus the machine's stat dump with
-// --stats.
+// Each flag is bound in main() to the variable or config field it
+// sets (ServeConfig, LazyCacheConfig), with its range; a bad flag
+// exits 2 before the run (src/sim/args.hh). Times are simulated ns.
+// --workers counts apache/nginx/serve serving cores, --cores the
+// microbench/parsec/numa cores. --duration-ticks is serve's arrival
+// horizon and lazycache's measured window (default 100 ms). Zero is
+// valid where it means "off": --burst-pages (no pressure),
+// --churn-interval (no churn), --writers. --rate-scale=F divides every
+// replayed arrival tick by F (F > 1 is hotter). --trace=FILE writes
+// Chrome-trace JSON, --trace-text=FILE a timeline ('-' for stdout).
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "machine/machine.hh"
 #include "serve/latrace.hh"
 #include "serve/serve.hh"
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "machine/machine_stats.hh"
 #include "trace/chrome_trace.hh"
@@ -34,223 +40,92 @@
 
 using namespace latr;
 
-namespace
+int
+main(int argc, char **argv)
 {
-
-struct Options
-{
+    constexpr Duration kHour = 3600 * kSec;
     std::string workload = "apache";
-    std::string policy = "latr";
-    std::string machine = "commodity";
+    PolicyKind policy = PolicyKind::Latr;
+    MachineConfig (*machineOf)() = &MachineConfig::commodity2S16C;
     std::string benchmark = "dedup";
     unsigned workers = 12;
     unsigned cores = 16;
     std::uint64_t pages = 1;
-    // serve workload (src/serve/): open-loop scenario knobs.
-    Tick durationTicks = 0;     // 0 = ServeConfig default
-    // lazycache workload (src/workload/lazycache): pressure knobs.
-    std::uint64_t cachePages = 0;   // 0 = LazyCacheConfig default
-    double hotFraction = -1.0;      // <0 = default
-    unsigned readers = 0;           // 0 = default
-    unsigned writers = ~0u;         // ~0 = default
-    std::uint64_t burstPages = ~0ull; // ~0 = default
-    Duration pressureInterval = 0;  // 0 = default
-    double arrivalRate = 0.0;   // 0 = ServeConfig default
-    unsigned tenants = 0;       // 0 = ServeConfig default
-    std::uint64_t users = 0;    // 0 = ServeConfig default
-    Duration churnInterval = kTickNever; // kTickNever = default
-    std::uint64_t seed = 1;
-    std::string recordPath; // write the generated .latrace here
-    std::string replayPath; // replay this .latrace instead
-    double rateScale = 0.0; // 0/1 = no replay rate transform
+    ServeConfig serve;
+    LazyCacheConfig cache;
+    std::string recordPath;
+    std::string replayPath;
+    double rateScale = 1.0;
     bool noFastpath = false;
     bool dumpStats = false;
-    std::string tracePath;     // chrome://tracing / Perfetto JSON
-    std::string traceTextPath; // human-readable timeline
-    std::size_t traceCapacity = 0; // 0 = recorder default
-};
+    std::string tracePath;
+    std::string traceTextPath;
+    std::size_t traceCapacity = TraceRecorder::kDefaultCapacity;
 
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "  --workload=apache|nginx|microbench|parsec|numa|serve|"
-        "lazycache\n"
-        "  --policy=linux|latr|abis|barrelfish|pred\n"
-        "  --machine=commodity|large\n"
-        "  --benchmark=<parsec or numa benchmark name>\n"
-        "  --workers=N   (apache/nginx/serve serving cores)\n"
-        "  --cores=N     (microbench/parsec/numa cores)\n"
-        "  --pages=N     (microbench pages per munmap)\n"
-        "lazycache workload (MADV_FREE page cache):\n"
-        "  --cache-pages=N        (4 KB pages in the cache)\n"
-        "  --hot-fraction=F       (hot core-set fraction, 0..1)\n"
-        "  --readers=N --writers=N  (thread split)\n"
-        "  --burst-pages=N        (MADV_FREEs per pressure burst;\n"
-        "                          0 disables pressure)\n"
-        "  --pressure-interval=N  (ns between bursts)\n"
-        "  --duration-ticks=N     (measured window in simulated ns)\n"
-        "serve workload (open-loop, tail latency; src/serve/):\n"
-        "  --duration-ticks=N  (arrival horizon in simulated ns)\n"
-        "  --arrival-rate=N    (mean requests per simulated second)\n"
-        "  --tenants=N         (tenant slots, one process each)\n"
-        "  --users=N           (simulated user population)\n"
-        "  --churn-interval=N  (ns between tenant exits; 0 = off)\n"
-        "  --seed=N            (arrival-stream RNG seed)\n"
-        "  --record=FILE       (save the generated .latrace)\n"
-        "  --replay=FILE       (replay FILE instead of generating;\n"
-        "                       byte-identical results per policy)\n"
-        "  --rate-scale=F      (replay transform: divide every\n"
-        "                       inter-arrival gap by F at load time,\n"
-        "                       so one recording covers a whole\n"
-        "                       load-sweep family; F > 1 = hotter)\n"
-        "  --no-fastpath (naive engine paths; results must match)\n"
-        "  --stats       (dump the full stat registry)\n"
-        "  --trace=FILE      (write Chrome-trace JSON; load in\n"
-        "                     chrome://tracing or ui.perfetto.dev)\n"
-        "  --trace-text=FILE (write a human-readable timeline;\n"
-        "                     '-' for stdout)\n"
-        "  --trace-capacity=N (ring size in records; default 65536)\n",
-        argv0);
-}
+    Args args;
+    args.choice("--workload", &workload,
+                {"apache", "nginx", "microbench", "parsec", "numa",
+                 "serve", "lazycache"})
+        .choice("--policy", &policy, policyKindFlags())
+        .choice("--machine", &machineOf,
+                {{"commodity", &MachineConfig::commodity2S16C},
+                 {"large", &MachineConfig::largeNuma8S120C}})
+        .text("--benchmark", &benchmark)
+        .number("--workers", &workers, 1, 1024)
+        .number("--cores", &cores, 1, 1024)
+        .number("--pages", &pages, 1, 1 << 20)
+        .number("--duration-ticks", &serve.duration, 1, kHour)
+        .number("--seed", &serve.seed, 0, ~std::uint64_t{0})
+        .number("--cache-pages", &cache.cachePages, 1, 1 << 24)
+        .real("--hot-fraction", &cache.hotFraction, 0, 1)
+        .number("--readers", &cache.readers, 1, 1024)
+        .number("--writers", &cache.writers, 0, 1024)
+        .number("--burst-pages", &cache.burstPages, 0, 1 << 20)
+        .number("--pressure-interval", &cache.pressureInterval, 1, kHour)
+        .real("--arrival-rate", &serve.arrivalRatePerSec, 1, 1e9)
+        .number("--tenants", &serve.tenants, 1, 4096)
+        .number("--users", &serve.users, 1, std::uint64_t{1} << 32)
+        .number("--churn-interval", &serve.churnInterval, 0, kHour)
+        .text("--record", &recordPath)
+        .text("--replay", &replayPath)
+        .real("--rate-scale", &rateScale, 1e-3, 1e3)
+        .flag("--no-fastpath", &noFastpath)
+        .flag("--stats", &dumpStats)
+        .text("--trace", &tracePath)
+        .text("--trace-text", &traceTextPath)
+        .number("--trace-capacity", &traceCapacity, 1, 1 << 24);
+    args.parse(argc, argv);
+    serve.workers = workers;
+    cache.seed = serve.seed;
+    const Duration lazyWindow =
+        args.given("--duration-ticks") ? serve.duration : 100 * kMsec;
 
-bool
-parseArg(Options &opts, const char *arg)
-{
-    auto value = [&](const char *key) -> const char * {
-        const std::size_t n = std::strlen(key);
-        if (std::strncmp(arg, key, n) == 0 && arg[n] == '=')
-            return arg + n + 1;
-        return nullptr;
-    };
-    if (const char *v = value("--workload")) {
-        opts.workload = v;
-    } else if (const char *v = value("--policy")) {
-        opts.policy = v;
-    } else if (const char *v = value("--machine")) {
-        opts.machine = v;
-    } else if (const char *v = value("--benchmark")) {
-        opts.benchmark = v;
-    } else if (const char *v = value("--workers")) {
-        opts.workers = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--cores")) {
-        opts.cores = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--pages")) {
-        opts.pages = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--duration-ticks")) {
-        opts.durationTicks = static_cast<Tick>(std::atoll(v));
-    } else if (const char *v = value("--cache-pages")) {
-        opts.cachePages = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--hot-fraction")) {
-        opts.hotFraction = std::atof(v);
-    } else if (const char *v = value("--readers")) {
-        opts.readers = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--writers")) {
-        opts.writers = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--burst-pages")) {
-        opts.burstPages = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--pressure-interval")) {
-        opts.pressureInterval = static_cast<Duration>(std::atoll(v));
-    } else if (const char *v = value("--arrival-rate")) {
-        opts.arrivalRate = std::atof(v);
-    } else if (const char *v = value("--tenants")) {
-        opts.tenants = static_cast<unsigned>(std::atoi(v));
-    } else if (const char *v = value("--users")) {
-        opts.users = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--churn-interval")) {
-        opts.churnInterval = static_cast<Duration>(std::atoll(v));
-    } else if (const char *v = value("--seed")) {
-        opts.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char *v = value("--record")) {
-        opts.recordPath = v;
-    } else if (const char *v = value("--replay")) {
-        opts.replayPath = v;
-    } else if (const char *v = value("--rate-scale")) {
-        opts.rateScale = std::atof(v);
-    } else if (const char *v = value("--trace")) {
-        opts.tracePath = v;
-    } else if (const char *v = value("--trace-text")) {
-        opts.traceTextPath = v;
-    } else if (const char *v = value("--trace-capacity")) {
-        opts.traceCapacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (std::strcmp(arg, "--no-fastpath") == 0) {
-        opts.noFastpath = true;
-    } else if (std::strcmp(arg, "--stats") == 0) {
-        opts.dumpStats = true;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-PolicyKind
-policyOf(const std::string &name)
-{
-    if (name == "linux")
-        return PolicyKind::LinuxSync;
-    if (name == "latr")
-        return PolicyKind::Latr;
-    if (name == "abis")
-        return PolicyKind::Abis;
-    if (name == "barrelfish")
-        return PolicyKind::Barrelfish;
-    if (name == "pred")
-        return PolicyKind::Predictive;
-    fatal("unknown policy '%s'", name.c_str());
-}
-
-MachineConfig
-machineOf(const std::string &name)
-{
-    if (name == "commodity")
-        return MachineConfig::commodity2S16C();
-    if (name == "large")
-        return MachineConfig::largeNuma8S120C();
-    fatal("unknown machine '%s'", name.c_str());
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        if (!parseArg(opts, argv[i])) {
-            usage(argv[0]);
-            return 1;
-        }
-    }
-
-    MachineConfig config = machineOf(opts.machine);
-    config.noFastpath = opts.noFastpath;
-    Machine machine(config, policyOf(opts.policy));
-    if (!opts.tracePath.empty() || !opts.traceTextPath.empty()) {
-        if (opts.traceCapacity != 0)
-            machine.trace().setCapacity(opts.traceCapacity);
+    MachineConfig config = machineOf();
+    config.noFastpath = noFastpath;
+    Machine machine(config, policy);
+    if (!tracePath.empty() || !traceTextPath.empty()) {
+        machine.trace().setCapacity(traceCapacity);
         machine.trace().setEnabled(true);
     }
     std::printf("machine:  %s\npolicy:   %s\nworkload: %s\n\n",
                 machine.config().name.c_str(),
-                machine.policy().name(), opts.workload.c_str());
+                machine.policy().name(), workload.c_str());
 
-    if (opts.workload == "apache" || opts.workload == "nginx") {
+    if (workload == "apache" || workload == "nginx") {
         WebServerConfig cfg;
-        cfg.workers = opts.workers;
+        cfg.workers = workers;
         cfg.processes = 1;
-        cfg.mmapPerRequest = opts.workload == "apache";
+        cfg.mmapPerRequest = workload == "apache";
         WebServerWorkload server(machine, cfg);
         WebServerResult r = server.measure(50 * kMsec, 250 * kMsec);
         std::printf("requests/s:    %.0f\n", r.requestsPerSec);
         std::printf("shootdowns/s:  %.0f\n", r.shootdownsPerSec);
         std::printf("llc app miss:  %.2f%%\n",
                     100.0 * r.llcAppMissRatio);
-    } else if (opts.workload == "microbench") {
+    } else if (workload == "microbench") {
         MunmapMicrobenchConfig cfg;
-        cfg.sharingCores = opts.cores;
-        cfg.pages = opts.pages;
+        cfg.sharingCores = cores;
+        cfg.pages = pages;
         MunmapMicrobenchResult r = runMunmapMicrobench(machine, cfg);
         std::printf("munmap mean:    %.2f us (p99 %.2f us)\n",
                     r.munmapMeanNs / 1000.0, r.munmapP99Ns / 1000.0);
@@ -258,25 +133,25 @@ main(int argc, char **argv)
                     r.shootdownMeanNs / 1000.0);
         std::printf("latr fallbacks: %llu\n",
                     static_cast<unsigned long long>(r.latrFallbacks));
-    } else if (opts.workload == "parsec") {
-        ParsecResult r = runParsec(
-            machine, parsecProfile(opts.benchmark), opts.cores);
+    } else if (workload == "parsec") {
+        ParsecResult r =
+            runParsec(machine, parsecProfile(benchmark), cores);
         std::printf("runtime:       %.2f ms\n", r.runtimeNs / 1e6);
         std::printf("shootdowns/s:  %.0f\n", r.shootdownsPerSec);
-    } else if (opts.workload == "serve") {
+    } else if (workload == "serve") {
         Latrace trace;
-        if (!opts.replayPath.empty()) {
+        if (!replayPath.empty()) {
             std::string error;
-            if (!latraceLoad(opts.replayPath, &trace, &error))
-                fatal("cannot replay '%s': %s",
-                      opts.replayPath.c_str(), error.c_str());
-            if (opts.rateScale > 0.0 && opts.rateScale != 1.0) {
+            if (!latraceLoad(replayPath, &trace, &error))
+                fatal("cannot replay '%s': %s", replayPath.c_str(),
+                      error.c_str());
+            if (rateScale != 1.0) {
                 // Uniform load-time rate transform: dividing every
                 // arrival tick by F compresses (F > 1) or stretches
                 // (F < 1) all inter-arrival gaps by the same factor,
                 // so one recording covers a whole load-sweep family.
                 // Division is monotone, so record order survives.
-                const double f = opts.rateScale;
+                const double f = rateScale;
                 for (LatraceRecord &rec : trace.records)
                     rec.tick = static_cast<Tick>(
                         std::llround(static_cast<double>(rec.tick) /
@@ -291,29 +166,15 @@ main(int argc, char **argv)
                                  trace.durationTicks));
             }
         } else {
-            ServeConfig cfg;
-            cfg.workers = opts.workers;
-            if (opts.durationTicks)
-                cfg.duration = opts.durationTicks;
-            if (opts.arrivalRate > 0.0)
-                cfg.arrivalRatePerSec = opts.arrivalRate;
-            if (opts.tenants)
-                cfg.tenants = opts.tenants;
-            if (opts.users)
-                cfg.users = opts.users;
-            if (opts.churnInterval != kTickNever)
-                cfg.churnInterval = opts.churnInterval;
-            cfg.seed = opts.seed;
-            trace = generateServeTrace(cfg);
+            trace = generateServeTrace(serve);
         }
-        if (!opts.recordPath.empty()) {
-            if (!latraceSave(trace, opts.recordPath))
-                fatal("cannot record to '%s'",
-                      opts.recordPath.c_str());
+        if (!recordPath.empty()) {
+            if (!latraceSave(trace, recordPath))
+                fatal("cannot record to '%s'", recordPath.c_str());
             std::fprintf(stderr, "recorded %llu ops -> %s\n",
                          static_cast<unsigned long long>(
                              trace.records.size()),
-                         opts.recordPath.c_str());
+                         recordPath.c_str());
         }
         ServeResult r = runServeTrace(machine, trace);
         std::printf("arrivals:      %llu (%llu completed, "
@@ -328,25 +189,9 @@ main(int argc, char **argv)
         std::printf("shootdowns/s:  %.0f\n", r.shootdownsPerSec);
         std::printf("digest:        %016llx\n",
                     static_cast<unsigned long long>(r.digest));
-    } else if (opts.workload == "lazycache") {
-        LazyCacheConfig cfg;
-        if (opts.cachePages)
-            cfg.cachePages = opts.cachePages;
-        if (opts.hotFraction >= 0.0)
-            cfg.hotFraction = opts.hotFraction;
-        if (opts.readers)
-            cfg.readers = opts.readers;
-        if (opts.writers != ~0u)
-            cfg.writers = opts.writers;
-        if (opts.burstPages != ~0ull)
-            cfg.burstPages = opts.burstPages;
-        if (opts.pressureInterval)
-            cfg.pressureInterval = opts.pressureInterval;
-        cfg.seed = opts.seed;
-        LazyCacheWorkload cache(machine, cfg);
-        const Duration measured =
-            opts.durationTicks ? opts.durationTicks : 100 * kMsec;
-        LazyCacheResult r = cache.measure(10 * kMsec, measured);
+    } else if (workload == "lazycache") {
+        LazyCacheWorkload lazycache(machine, cache);
+        LazyCacheResult r = lazycache.measure(10 * kMsec, lazyWindow);
         std::printf("events/s:        %.0f\n", r.eventsPerSec);
         std::printf("reads/s:         %.0f\n", r.readsPerSec);
         std::printf("hit ratio:       %.4f\n", r.hitRatio);
@@ -359,27 +204,23 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.bursts));
         std::printf("fallback IPIs:   %llu (%.0f/s)\n",
                     static_cast<unsigned long long>(r.fallbackIpis),
-                    ratePerSecond(r.fallbackIpis, measured));
+                    ratePerSecond(r.fallbackIpis, lazyWindow));
         std::printf("reclaimed pages: %llu\n",
                     static_cast<unsigned long long>(r.reclaimedPages));
         std::printf("digest:          %016llx\n",
                     static_cast<unsigned long long>(r.digest));
-    } else if (opts.workload == "numa") {
+    } else { // numa
         const NumaBenchProfile *profile = nullptr;
         for (const NumaBenchProfile &p : numaBenchSuite())
-            if (opts.benchmark == p.name)
+            if (benchmark == p.name)
                 profile = &p;
         if (!profile)
-            fatal("unknown numa benchmark '%s'",
-                  opts.benchmark.c_str());
-        NumaBenchResult r = runNumaBench(machine, *profile, opts.cores);
+            fatal("unknown numa benchmark '%s'", benchmark.c_str());
+        NumaBenchResult r = runNumaBench(machine, *profile, cores);
         std::printf("runtime:       %.2f ms\n", r.runtimeNs / 1e6);
         std::printf("migrations:    %llu (%.0f/s)\n",
                     static_cast<unsigned long long>(r.migrations),
                     r.migrationsPerSec);
-    } else {
-        usage(argv[0]);
-        return 1;
     }
 
     if (machine.checker() && machine.checker()->violations() != 0) {
@@ -387,33 +228,28 @@ main(int argc, char **argv)
                      machine.checker()->firstViolation().c_str());
         return 1;
     }
-    if (opts.dumpStats) {
+    if (dumpStats) {
         std::printf("\n--- stats ---\n%s",
                     machine.stats().dump().c_str());
     }
-    if (!opts.tracePath.empty()) {
+    if (!tracePath.empty()) {
         if (!writeChromeTraceFile(machine.trace(), &machine.topo(),
-                                  opts.tracePath))
-            fatal("cannot write trace to '%s'",
-                  opts.tracePath.c_str());
+                                  tracePath))
+            fatal("cannot write trace to '%s'", tracePath.c_str());
         std::fprintf(stderr, "trace: %llu records -> %s\n",
                      static_cast<unsigned long long>(
                          machine.trace().size()),
-                     opts.tracePath.c_str());
+                     tracePath.c_str());
     }
-    if (!opts.traceTextPath.empty()) {
-        TextDumpOptions text;
-        if (opts.traceTextPath == "-") {
-            writeTextTimeline(machine.trace(), text, stdout);
-        } else {
-            std::FILE *f =
-                std::fopen(opts.traceTextPath.c_str(), "w");
-            if (!f)
-                fatal("cannot write trace to '%s'",
-                      opts.traceTextPath.c_str());
-            writeTextTimeline(machine.trace(), text, f);
+    if (!traceTextPath.empty()) {
+        std::FILE *f = traceTextPath == "-"
+                           ? stdout
+                           : std::fopen(traceTextPath.c_str(), "w");
+        if (!f)
+            fatal("cannot write trace to '%s'", traceTextPath.c_str());
+        writeTextTimeline(machine.trace(), TextDumpOptions{}, f);
+        if (f != stdout)
             std::fclose(f);
-        }
     }
     return 0;
 }

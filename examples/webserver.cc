@@ -3,12 +3,12 @@
 // request; with synchronous shootdowns the munmap dominates and the
 // server stops scaling. Run it under any two policies and compare.
 //
-//   $ ./webserver [workers] (default 12)
+//   $ ./webserver --workers=N   (1..16, default 12)
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "machine/machine.hh"
+#include "sim/args.hh"
 #include "workload/webserver.hh"
 
 using namespace latr;
@@ -17,12 +17,9 @@ int
 main(int argc, char **argv)
 {
     unsigned workers = 12;
-    if (argc > 1)
-        workers = static_cast<unsigned>(std::atoi(argv[1]));
-    if (workers == 0 || workers > 16) {
-        std::fprintf(stderr, "usage: %s [workers 1..16]\n", argv[0]);
-        return 1;
-    }
+    Args args;
+    args.number("--workers", &workers, 1, 16);
+    args.parse(argc, argv);
 
     std::printf("Apache-style webserver, %u workers, 10 KB static "
                 "page per request\n\n",

@@ -1,8 +1,10 @@
 #include "check/script.hh"
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "sim/args.hh"
 #include "sim/rng.hh"
 
 namespace latr
@@ -28,26 +30,79 @@ struct SlotState
     bool readOnly = false;
 };
 
-const char *
-opName(OpKind kind)
+/**
+ * Largest operand a script may carry, well above what the generator
+ * (12 slots, 48 pages, 400 us advances) and the corpus (slots up to
+ * 69, 24 pages, 300 us) use. The bounds keep a hand-edited or
+ * corrupted script from asking the executor for a huge slot table or
+ * a multi-terabyte mapping.
+ */
+constexpr std::uint64_t kMaxTask = 4095;
+constexpr std::uint64_t kMaxSlot = 4095;
+constexpr std::uint64_t kMaxPages = 4096;
+constexpr std::uint64_t kMaxHugePages = 8;
+constexpr std::uint64_t kMaxOffset = kMaxPages - 1;
+constexpr std::uint64_t kMaxCore = 1023;
+constexpr std::uint64_t kMaxAdvanceUsec = 1'000'000;
+constexpr std::uint64_t kMaxProcs = 128;
+
+/**
+ * One op directive: its name and operands, one letter each — t task, s slot, p pages, h huge pages, o page offset,
+ * c core, u usec, a access written r|rw, w access written r|w (either
+ * access letter parses r, rw and w).
+ */
+struct Directive
 {
-    switch (kind) {
-      case OpKind::Mmap: return "mmap";
-      case OpKind::MmapHuge: return "mmap_huge";
-      case OpKind::Munmap: return "munmap";
-      case OpKind::MunmapSync: return "munmap_sync";
-      case OpKind::Madvise: return "madvise";
-      case OpKind::MadviseFree: return "madvise_free";
-      case OpKind::Mprotect: return "mprotect";
-      case OpKind::Mremap: return "mremap";
-      case OpKind::MarkCow: return "markcow";
-      case OpKind::Touch: return "touch";
-      case OpKind::NumaSample: return "numa";
-      case OpKind::CtxSwitch: return "ctxsw";
-      case OpKind::Advance: return "advance";
-      case OpKind::Quiesce: return "quiesce";
+    const char *name;
+    OpKind kind;
+    const char *operands;
+    const char *usage;
+};
+
+constexpr Directive kDirectives[] = {
+    {"mmap", OpKind::Mmap, "tspa", "<task> <slot> <pages> <r|rw>"},
+    {"mmap_huge", OpKind::MmapHuge, "tsh", "<task> <slot> <hugepages>"},
+    {"munmap", OpKind::Munmap, "ts", "<task> <slot>"},
+    {"munmap_sync", OpKind::MunmapSync, "ts", "<task> <slot>"},
+    {"madvise", OpKind::Madvise, "ts", "<task> <slot>"},
+    {"madvise_free", OpKind::MadviseFree, "ts", "<task> <slot>"},
+    {"mprotect", OpKind::Mprotect, "tsa", "<task> <slot> <r|rw>"},
+    {"mremap", OpKind::Mremap, "tsp", "<task> <slot> <newpages>"},
+    {"markcow", OpKind::MarkCow, "ts", "<task> <slot>"},
+    {"touch", OpKind::Touch, "tsow", "<task> <slot> <off> <r|w>"},
+    {"numa", OpKind::NumaSample, "tso", "<task> <slot> <off>"},
+    {"ctxsw", OpKind::CtxSwitch, "c", "<core>"},
+    {"advance", OpKind::Advance, "u", "<usec>"},
+    {"quiesce", OpKind::Quiesce, "", "(no operands)"},
+};
+
+/** Fill @p op's operand @p code from @p tok; false if malformed. */
+bool
+parseOperand(char code, const std::string &tok, Op *op)
+{
+    if (code == 'a' || code == 'w') {
+        op->rw = tok == "rw" || tok == "w";
+        return op->rw || tok == "r";
     }
-    return "?";
+    std::uint64_t v = 0;
+    const std::uint64_t max = code == 't'   ? kMaxTask
+                              : code == 's' ? kMaxSlot
+                              : code == 'p' ? kMaxPages
+                              : code == 'h' ? kMaxHugePages
+                              : code == 'o' ? kMaxOffset
+                              : code == 'c' ? kMaxCore
+                                            : kMaxAdvanceUsec;
+    if (!parseDigits<std::uint64_t>(tok, 0, max, &v))
+        return false;
+    if (code == 't')
+        op->task = static_cast<std::uint32_t>(v);
+    else if (code == 's')
+        op->slot = static_cast<std::uint32_t>(v);
+    else if (code == 'o')
+        op->off = v;
+    else
+        op->value = v;
+    return true;
 }
 
 } // namespace
@@ -169,64 +224,29 @@ serializeScript(const Script &script)
     if (script.large)
         out << "machine large\n";
     for (const Op &op : script.ops) {
-        out << opName(op.kind);
-        switch (op.kind) {
-          case OpKind::Mmap:
-            out << " " << op.task << " " << op.slot << " " << op.value
-                << " " << (op.rw ? "rw" : "r");
-            break;
-          case OpKind::MmapHuge:
-          case OpKind::Mremap:
-            out << " " << op.task << " " << op.slot << " " << op.value;
-            break;
-          case OpKind::Munmap:
-          case OpKind::MunmapSync:
-          case OpKind::Madvise:
-          case OpKind::MadviseFree:
-          case OpKind::MarkCow:
-            out << " " << op.task << " " << op.slot;
-            break;
-          case OpKind::Mprotect:
-            out << " " << op.task << " " << op.slot << " "
-                << (op.rw ? "rw" : "r");
-            break;
-          case OpKind::Touch:
-            out << " " << op.task << " " << op.slot << " " << op.off
-                << " " << (op.rw ? "w" : "r");
-            break;
-          case OpKind::NumaSample:
-            out << " " << op.task << " " << op.slot << " " << op.off;
-            break;
-          case OpKind::CtxSwitch:
-          case OpKind::Advance:
-            out << " " << op.value;
-            break;
-          case OpKind::Quiesce:
-            break;
+        const Directive *d = kDirectives;
+        while (d->kind != op.kind)
+            ++d;
+        out << d->name;
+        for (const char *code = d->operands; *code; ++code) {
+            out << " ";
+            if (*code == 't')
+                out << op.task;
+            else if (*code == 's')
+                out << op.slot;
+            else if (*code == 'o')
+                out << op.off;
+            else if (*code == 'a')
+                out << (op.rw ? "rw" : "r");
+            else if (*code == 'w')
+                out << (op.rw ? "w" : "r");
+            else
+                out << op.value;
         }
         out << "\n";
     }
     return out.str();
 }
-
-namespace
-{
-
-bool
-parseAccess(const std::string &tok, bool *rw)
-{
-    if (tok == "rw" || tok == "w") {
-        *rw = true;
-        return true;
-    }
-    if (tok == "r") {
-        *rw = false;
-        return true;
-    }
-    return false;
-}
-
-} // namespace
 
 bool
 parseScript(const std::string &text, Script *out, std::string *err)
@@ -243,96 +263,52 @@ parseScript(const std::string &text, Script *out, std::string *err)
     };
     while (std::getline(in, line)) {
         ++lineno;
-        std::istringstream toks(line);
-        std::string word;
-        if (!(toks >> word) || word[0] == '#')
+        std::istringstream split(line);
+        std::vector<std::string> tok;
+        for (std::string t; split >> t;)
+            tok.push_back(t);
+        if (tok.empty() || tok[0][0] == '#')
             continue;
-
-        if (word == "seed") {
-            if (!(toks >> out->seed))
-                return fail("seed needs a value");
-            continue;
-        }
-        if (word == "pcid") {
-            unsigned v;
-            if (!(toks >> v))
-                return fail("pcid needs 0 or 1");
-            out->pcid = v != 0;
-            continue;
-        }
-        if (word == "procs") {
-            if (!(toks >> out->procs) || out->procs == 0)
-                return fail("procs needs a positive value");
+        const std::string &word = tok[0];
+        if (word == "seed" || word == "pcid" || word == "procs") {
+            const std::uint64_t lo = word == "procs";
+            const std::uint64_t hi = word == "seed"   ? ~0ULL
+                                     : word == "pcid" ? 1
+                                                      : kMaxProcs;
+            std::uint64_t v = 0;
+            if (tok.size() != 2 ||
+                !parseDigits<std::uint64_t>(tok[1], lo, hi, &v))
+                return fail(word + " needs a number in " +
+                            std::to_string(lo) + ".." +
+                            std::to_string(hi));
+            if (word == "seed")
+                out->seed = v;
+            else if (word == "pcid")
+                out->pcid = v == 1;
+            else
+                out->procs = static_cast<unsigned>(v);
             continue;
         }
         if (word == "machine") {
-            std::string which;
-            if (!(toks >> which) ||
-                (which != "large" && which != "small"))
+            if (tok.size() != 2 || (tok[1] != "large" && tok[1] != "small"))
                 return fail("machine needs 'small' or 'large'");
-            out->large = which == "large";
+            out->large = tok[1] == "large";
             continue;
         }
 
-        Op op;
-        std::string access;
-        if (word == "mmap") {
-            op.kind = OpKind::Mmap;
-            if (!(toks >> op.task >> op.slot >> op.value >> access) ||
-                !parseAccess(access, &op.rw))
-                return fail("mmap <task> <slot> <pages> <r|rw>");
-        } else if (word == "mmap_huge") {
-            op.kind = OpKind::MmapHuge;
-            if (!(toks >> op.task >> op.slot >> op.value))
-                return fail("mmap_huge <task> <slot> <hugepages>");
-        } else if (word == "munmap" || word == "munmap_sync") {
-            op.kind = word == "munmap" ? OpKind::Munmap
-                                       : OpKind::MunmapSync;
-            if (!(toks >> op.task >> op.slot))
-                return fail(word + " <task> <slot>");
-        } else if (word == "madvise") {
-            op.kind = OpKind::Madvise;
-            if (!(toks >> op.task >> op.slot))
-                return fail("madvise <task> <slot>");
-        } else if (word == "madvise_free") {
-            op.kind = OpKind::MadviseFree;
-            if (!(toks >> op.task >> op.slot))
-                return fail("madvise_free <task> <slot>");
-        } else if (word == "mprotect") {
-            op.kind = OpKind::Mprotect;
-            if (!(toks >> op.task >> op.slot >> access) ||
-                !parseAccess(access, &op.rw))
-                return fail("mprotect <task> <slot> <r|rw>");
-        } else if (word == "mremap") {
-            op.kind = OpKind::Mremap;
-            if (!(toks >> op.task >> op.slot >> op.value))
-                return fail("mremap <task> <slot> <newpages>");
-        } else if (word == "markcow") {
-            op.kind = OpKind::MarkCow;
-            if (!(toks >> op.task >> op.slot))
-                return fail("markcow <task> <slot>");
-        } else if (word == "touch") {
-            op.kind = OpKind::Touch;
-            if (!(toks >> op.task >> op.slot >> op.off >> access) ||
-                !parseAccess(access, &op.rw))
-                return fail("touch <task> <slot> <off> <r|w>");
-        } else if (word == "numa") {
-            op.kind = OpKind::NumaSample;
-            if (!(toks >> op.task >> op.slot >> op.off))
-                return fail("numa <task> <slot> <off>");
-        } else if (word == "ctxsw") {
-            op.kind = OpKind::CtxSwitch;
-            if (!(toks >> op.value))
-                return fail("ctxsw <core>");
-        } else if (word == "advance") {
-            op.kind = OpKind::Advance;
-            if (!(toks >> op.value))
-                return fail("advance <usec>");
-        } else if (word == "quiesce") {
-            op.kind = OpKind::Quiesce;
-        } else {
+        const Directive *d = nullptr;
+        for (const Directive &candidate : kDirectives)
+            if (word == candidate.name)
+                d = &candidate;
+        if (!d)
             return fail("unknown directive '" + word + "'");
-        }
+        Op op;
+        op.kind = d->kind;
+        bool ok = tok.size() == 1 + std::strlen(d->operands);
+        for (std::size_t i = 0; ok && d->operands[i]; ++i)
+            ok = parseOperand(d->operands[i], tok[i + 1], &op);
+        if (!ok)
+            return fail(std::string(d->name) + " " + d->usage);
         out->ops.push_back(op);
     }
     return true;

@@ -96,8 +96,9 @@ std::string serializeScript(const Script &script);
 
 /**
  * Parse the text form. @return false (with *err set) on malformed
- * input; unknown directives are errors, blank lines and `#` comments
- * are skipped.
+ * input: an unknown directive, a missing or extra operand, or a
+ * number that is not plain decimal digits or exceeds its operand's
+ * bound. Blank lines and `#` comment lines are skipped.
  */
 bool parseScript(const std::string &text, Script *out,
                  std::string *err);

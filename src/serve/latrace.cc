@@ -140,9 +140,12 @@ latraceParse(const std::string &bytes, Latrace *out,
     trace.tenants = get32(p + 44);
     trace.serviceCpuNs = get64(p + 48);
     const std::uint64_t count = get64(p + 56);
+    if (trace.workers == 0 || trace.tenants == 0)
+        return fail(error, "latrace: needs a worker and a tenant");
 
-    if (bytes.size() !=
-        headerBytes + count * static_cast<std::uint64_t>(recordBytes))
+    // Divide rather than multiply: count * recordBytes can wrap.
+    const std::uint64_t body = bytes.size() - headerBytes;
+    if (body % recordBytes != 0 || body / recordBytes != count)
         return fail(error, "latrace: body size mismatch");
     trace.records.reserve(count);
     const unsigned char *r = p + headerBytes;

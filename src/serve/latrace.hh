@@ -104,8 +104,8 @@ std::string latraceSerialize(const Latrace &trace);
 
 /**
  * Parse @p bytes into @p out. @return false (with a reason in
- * @p error if non-null) on bad magic, unknown version, or a
- * truncated/oversized body.
+ * @p error if non-null) on bad magic, unknown version, a header
+ * without a worker or a tenant, or a truncated/oversized body.
  */
 bool latraceParse(const std::string &bytes, Latrace *out,
                   std::string *error = nullptr);

@@ -252,4 +252,16 @@ policyKindName(PolicyKind kind)
     return "?";
 }
 
+const std::vector<std::pair<std::string, PolicyKind>> &
+policyKindFlags()
+{
+    static const std::vector<std::pair<std::string, PolicyKind>> flags =
+        {{"linux", PolicyKind::LinuxSync},
+         {"latr", PolicyKind::Latr},
+         {"abis", PolicyKind::Abis},
+         {"barrelfish", PolicyKind::Barrelfish},
+         {"pred", PolicyKind::Predictive}};
+    return flags;
+}
+
 } // namespace latr

@@ -19,6 +19,7 @@
 #define LATR_TLBCOH_POLICY_HH_
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -279,6 +280,12 @@ std::unique_ptr<TlbCoherencePolicy> makePolicy(PolicyKind kind,
 
 /** Human-readable policy name without constructing one. */
 const char *policyKindName(PolicyKind kind);
+
+/**
+ * Every kind under its command-line name (`--policy=linux|latr|abis|
+ * barrelfish|pred`), in PolicyKind order.
+ */
+const std::vector<std::pair<std::string, PolicyKind>> &policyKindFlags();
 
 } // namespace latr
 

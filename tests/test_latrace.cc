@@ -1,13 +1,16 @@
 // Unit tests for the .latrace trace container: canonical bytes,
-// round-trips, and rejection of malformed input.
+// round-trips, rejection of malformed input, and seeded mutants that
+// must be rejected with a message or replay cleanly.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "machine/machine.hh"
 #include "serve/latrace.hh"
 #include "serve/serve.hh"
+#include "sim/rng.hh"
 
 namespace latr
 {
@@ -163,6 +166,124 @@ TEST(Latrace, CommittedCorpusFileParsesAndMatchesGenerator)
            "recording; see DESIGN.md §9 versioning rules";
     EXPECT_EQ(latraceSerialize(generated),
               latraceSerialize(committed));
+}
+
+TEST(Latrace, RejectsRecordCountThatWrapsTheSizeCheck)
+{
+    // (2^61 + 3) * 24 wraps to 3 * 24: a multiplying size check
+    // would pass, and reserving that many records would abort.
+    std::string bytes = latraceSerialize(sampleTrace());
+    const std::uint64_t count = (std::uint64_t{1} << 61) + 3;
+    for (unsigned b = 0; b < 8; ++b)
+        bytes[56 + b] = static_cast<char>((count >> (8 * b)) & 0xff);
+    Latrace out;
+    std::string error;
+    EXPECT_FALSE(latraceParse(bytes, &out, &error));
+    EXPECT_NE(error.find("size"), std::string::npos);
+}
+
+TEST(Latrace, RejectsHeaderWithoutWorkersOrTenants)
+{
+    Latrace t = sampleTrace();
+    t.workers = 0;
+    Latrace out;
+    std::string error;
+    EXPECT_FALSE(latraceParse(latraceSerialize(t), &out, &error));
+    EXPECT_NE(error.find("worker"), std::string::npos);
+    t.workers = 4;
+    t.tenants = 0;
+    EXPECT_FALSE(latraceParse(latraceSerialize(t), &out, &error));
+}
+
+/** A small generated trace: requests plus tenant churn. */
+Latrace
+mutationBase()
+{
+    ServeConfig cfg;
+    cfg.workers = 4;
+    cfg.tenants = 2;
+    cfg.arrivalRatePerSec = 40'000;
+    cfg.duration = 3 * kMsec;
+    cfg.churnInterval = kMsec;
+    cfg.seed = 5;
+    return generateServeTrace(cfg);
+}
+
+/**
+ * A mutant must be rejected with a message, or parse and replay to
+ * the end. @return whether it parsed.
+ */
+bool
+rejectedOrReplays(const std::string &bytes)
+{
+    Latrace trace;
+    std::string error;
+    if (!latraceParse(bytes, &trace, &error)) {
+        EXPECT_FALSE(error.empty());
+        return false;
+    }
+    Machine machine(MachineConfig::commodity2S16C(), PolicyKind::Latr);
+    const ServeResult r = runServeTrace(machine, trace);
+    EXPECT_LE(r.completed, r.arrivals);
+    return true;
+}
+
+TEST(LatraceMutation, ByteFlipsAreRejectedOrReplay)
+{
+    // Flips land anywhere but the scenario fields (durationTicks,
+    // workers, tenants, serviceCpuNs at bytes 32..55): any value there
+    // is a well-formed request for a longer or larger run, not a
+    // malformed file. Zero workers or tenants have their own test.
+    const std::string base = latraceSerialize(mutationBase());
+    Rng rng(20);
+    unsigned parsed = 0;
+    for (int m = 0; m < 150; ++m) {
+        std::string bytes = base;
+        for (std::uint64_t f = rng.nextRange(1, 3); f > 0; --f) {
+            std::size_t at = 32;
+            while (at >= 32 && at < 56)
+                at = rng.nextBounded(bytes.size());
+            bytes[at] = static_cast<char>(
+                bytes[at] ^ static_cast<char>(rng.nextRange(1, 255)));
+        }
+        parsed += rejectedOrReplays(bytes);
+    }
+    // Flips in seeds, users, tenants, page counts and reserved bytes
+    // parse; flips in the structure do not.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_LT(parsed, 150u);
+}
+
+TEST(LatraceMutation, TruncationsInsideHeaderAndRecordsAreRejected)
+{
+    const std::string base = latraceSerialize(mutationBase());
+    const std::size_t records = (base.size() - 64) / 24;
+    ASSERT_GT(records, 10u);
+    for (std::size_t n = 0; n < 64; ++n)
+        EXPECT_FALSE(rejectedOrReplays(base.substr(0, n))) << n;
+    for (std::size_t rec : {std::size_t{0}, records / 2, records - 1})
+        for (std::size_t off = 1; off < 24; ++off)
+            EXPECT_FALSE(
+                rejectedOrReplays(base.substr(0, 64 + rec * 24 + off)))
+                << rec << "+" << off;
+}
+
+TEST(LatraceMutation, ReorderedTicksAreRejected)
+{
+    const Latrace base = mutationBase();
+    Rng rng(21);
+    for (int m = 0; m < 50; ++m) {
+        Latrace t = base;
+        std::size_t i = rng.nextBounded(t.records.size());
+        std::size_t j = rng.nextBounded(t.records.size());
+        if (t.records[i].tick == t.records[j].tick)
+            continue;
+        std::swap(t.records[i].tick, t.records[j].tick);
+        Latrace out;
+        std::string error;
+        EXPECT_FALSE(latraceParse(latraceSerialize(t), &out, &error));
+        EXPECT_NE(error.find("nondecreasing"), std::string::npos);
+    }
 }
 
 } // namespace

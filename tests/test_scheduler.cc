@@ -173,8 +173,9 @@ TEST_F(SchedFixture, CoreServiceBasics)
 /**
  * The tick wheel (default) and the naive per-core tick events
  * (noFastpath) must process identical tick counts and report the
- * same per-core tick phases — on the 120-core machine, where slot
- * bucketing actually has work to do.
+ * same per-core tick phases on the 120-core machine. With the 1 ms
+ * tick no two of its phases coincide, so each wheel slot holds one
+ * core.
  */
 TEST(SchedulerWheel, MatchesNaivePerCoreTicks)
 {
