@@ -11,7 +11,10 @@
 //
 // Each flag is bound in main() to the variable or config field it
 // sets (ServeConfig, LazyCacheConfig), with its range; a bad flag
-// exits 2 before the run (src/sim/args.hh). Times are simulated ns.
+// exits 2 before the run (src/sim/args.hh), and so does an unknown
+// --benchmark, a --replay that does not load or a --record, --trace
+// or --trace-text file that cannot be written. Times are simulated
+// ns.
 // --workers counts apache/nginx/serve serving cores, --cores the
 // microbench/parsec/numa cores. --duration-ticks is serve's arrival
 // horizon and lazycache's measured window (default 100 ms). Zero is
@@ -22,13 +25,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "machine/machine.hh"
 #include "serve/latrace.hh"
 #include "serve/serve.hh"
 #include "sim/args.hh"
-#include "sim/logging.hh"
 #include "machine/machine_stats.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/text_dump.hh"
@@ -39,6 +43,22 @@
 #include "workload/webserver.hh"
 
 using namespace latr;
+
+namespace
+{
+
+/** The profile named @p name in @p suite, or nullptr. */
+template <typename Profile>
+const Profile *
+profileNamed(const std::vector<Profile> &suite, const std::string &name)
+{
+    for (const Profile &p : suite)
+        if (name == p.name)
+            return &p;
+    return nullptr;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -71,10 +91,11 @@ main(int argc, char **argv)
                 {{"commodity", &MachineConfig::commodity2S16C},
                  {"large", &MachineConfig::largeNuma8S120C}})
         .text("--benchmark", &benchmark)
-        .number("--workers", &workers, 1, 1024)
+        .number("--workers", &workers, 1, kLatraceMaxWorkers)
         .number("--cores", &cores, 1, 1024)
         .number("--pages", &pages, 1, 1 << 20)
-        .number("--duration-ticks", &serve.duration, 1, kHour)
+        .number("--duration-ticks", &serve.duration, 1,
+                kLatraceMaxDuration)
         .number("--seed", &serve.seed, 0, ~std::uint64_t{0})
         .number("--cache-pages", &cache.cachePages, 1, 1 << 24)
         .real("--hot-fraction", &cache.hotFraction, 0, 1)
@@ -83,7 +104,7 @@ main(int argc, char **argv)
         .number("--burst-pages", &cache.burstPages, 0, 1 << 20)
         .number("--pressure-interval", &cache.pressureInterval, 1, kHour)
         .real("--arrival-rate", &serve.arrivalRatePerSec, 1, 1e9)
-        .number("--tenants", &serve.tenants, 1, 4096)
+        .number("--tenants", &serve.tenants, 1, kLatraceMaxTenants)
         .number("--users", &serve.users, 1, std::uint64_t{1} << 32)
         .number("--churn-interval", &serve.churnInterval, 0, kHour)
         .text("--record", &recordPath)
@@ -99,6 +120,64 @@ main(int argc, char **argv)
     cache.seed = serve.seed;
     const Duration lazyWindow =
         args.given("--duration-ticks") ? serve.duration : 100 * kMsec;
+
+    // Input the flags' own checks cannot judge fails here, before
+    // the machine is built: the benchmark name, the replayed or
+    // recorded trace, the trace outputs.
+    const ParsecProfile *parsec = profileNamed(parsecSuite(), benchmark);
+    const NumaBenchProfile *numa =
+        profileNamed(numaBenchSuite(), benchmark);
+    if ((workload == "parsec" && !parsec) || (workload == "numa" && !numa))
+        args.fail("--benchmark: no " + workload + " benchmark '" +
+                  benchmark + "'");
+    Latrace trace;
+    if (workload == "serve") {
+        std::string error;
+        if (replayPath.empty())
+            trace = generateServeTrace(serve);
+        else if (!latraceLoad(replayPath, &trace, &error))
+            args.fail("cannot replay '" + replayPath + "': " + error);
+        if (!replayPath.empty() && rateScale != 1.0) {
+            // Uniform load-time rate transform: dividing every
+            // arrival tick by F compresses (F > 1) or stretches
+            // (F < 1) all inter-arrival gaps by the same factor, so
+            // one recording covers a whole load-sweep family.
+            // Division is monotone, so record order survives.
+            const double f = rateScale;
+            for (LatraceRecord &rec : trace.records)
+                rec.tick = static_cast<Tick>(
+                    std::llround(static_cast<double>(rec.tick) / f));
+            trace.durationTicks = static_cast<Tick>(std::llround(
+                static_cast<double>(trace.durationTicks) / f));
+            std::fprintf(stderr,
+                         "rate-scale %.3f: %zu ops over %llu ticks\n", f,
+                         trace.records.size(),
+                         static_cast<unsigned long long>(
+                             trace.durationTicks));
+        }
+        if (!recordPath.empty()) {
+            if (!latraceSave(trace, recordPath))
+                args.fail("cannot record to '" + recordPath + "'");
+            std::fprintf(stderr, "recorded %llu ops -> %s\n",
+                         static_cast<unsigned long long>(
+                             trace.records.size()),
+                         recordPath.c_str());
+        }
+    }
+    std::ofstream traceJson;
+    if (!tracePath.empty()) {
+        traceJson.open(tracePath);
+        if (!traceJson)
+            args.fail("cannot write trace to '" + tracePath + "'");
+    }
+    std::FILE *traceText = nullptr;
+    if (!traceTextPath.empty()) {
+        traceText = traceTextPath == "-"
+                        ? stdout
+                        : std::fopen(traceTextPath.c_str(), "w");
+        if (!traceText)
+            args.fail("cannot write trace to '" + traceTextPath + "'");
+    }
 
     MachineConfig config = machineOf();
     config.noFastpath = noFastpath;
@@ -134,48 +213,10 @@ main(int argc, char **argv)
         std::printf("latr fallbacks: %llu\n",
                     static_cast<unsigned long long>(r.latrFallbacks));
     } else if (workload == "parsec") {
-        ParsecResult r =
-            runParsec(machine, parsecProfile(benchmark), cores);
+        ParsecResult r = runParsec(machine, *parsec, cores);
         std::printf("runtime:       %.2f ms\n", r.runtimeNs / 1e6);
         std::printf("shootdowns/s:  %.0f\n", r.shootdownsPerSec);
     } else if (workload == "serve") {
-        Latrace trace;
-        if (!replayPath.empty()) {
-            std::string error;
-            if (!latraceLoad(replayPath, &trace, &error))
-                fatal("cannot replay '%s': %s", replayPath.c_str(),
-                      error.c_str());
-            if (rateScale != 1.0) {
-                // Uniform load-time rate transform: dividing every
-                // arrival tick by F compresses (F > 1) or stretches
-                // (F < 1) all inter-arrival gaps by the same factor,
-                // so one recording covers a whole load-sweep family.
-                // Division is monotone, so record order survives.
-                const double f = rateScale;
-                for (LatraceRecord &rec : trace.records)
-                    rec.tick = static_cast<Tick>(
-                        std::llround(static_cast<double>(rec.tick) /
-                                     f));
-                trace.durationTicks = static_cast<Tick>(std::llround(
-                    static_cast<double>(trace.durationTicks) / f));
-                std::fprintf(stderr,
-                             "rate-scale %.3f: %zu ops over %llu "
-                             "ticks\n",
-                             f, trace.records.size(),
-                             static_cast<unsigned long long>(
-                                 trace.durationTicks));
-            }
-        } else {
-            trace = generateServeTrace(serve);
-        }
-        if (!recordPath.empty()) {
-            if (!latraceSave(trace, recordPath))
-                fatal("cannot record to '%s'", recordPath.c_str());
-            std::fprintf(stderr, "recorded %llu ops -> %s\n",
-                         static_cast<unsigned long long>(
-                             trace.records.size()),
-                         recordPath.c_str());
-        }
         ServeResult r = runServeTrace(machine, trace);
         std::printf("arrivals:      %llu (%llu completed, "
                     "%llu churn-dropped)\n",
@@ -210,13 +251,7 @@ main(int argc, char **argv)
         std::printf("digest:          %016llx\n",
                     static_cast<unsigned long long>(r.digest));
     } else { // numa
-        const NumaBenchProfile *profile = nullptr;
-        for (const NumaBenchProfile &p : numaBenchSuite())
-            if (benchmark == p.name)
-                profile = &p;
-        if (!profile)
-            fatal("unknown numa benchmark '%s'", benchmark.c_str());
-        NumaBenchResult r = runNumaBench(machine, *profile, cores);
+        NumaBenchResult r = runNumaBench(machine, *numa, cores);
         std::printf("runtime:       %.2f ms\n", r.runtimeNs / 1e6);
         std::printf("migrations:    %llu (%.0f/s)\n",
                     static_cast<unsigned long long>(r.migrations),
@@ -232,24 +267,20 @@ main(int argc, char **argv)
         std::printf("\n--- stats ---\n%s",
                     machine.stats().dump().c_str());
     }
-    if (!tracePath.empty()) {
-        if (!writeChromeTraceFile(machine.trace(), &machine.topo(),
-                                  tracePath))
-            fatal("cannot write trace to '%s'", tracePath.c_str());
+    if (traceJson.is_open()) {
+        writeChromeTrace(machine.trace(), &machine.topo(), traceJson);
+        traceJson.close();
+        if (!traceJson)
+            args.fail("cannot write trace to '" + tracePath + "'");
         std::fprintf(stderr, "trace: %llu records -> %s\n",
                      static_cast<unsigned long long>(
                          machine.trace().size()),
                      tracePath.c_str());
     }
-    if (!traceTextPath.empty()) {
-        std::FILE *f = traceTextPath == "-"
-                           ? stdout
-                           : std::fopen(traceTextPath.c_str(), "w");
-        if (!f)
-            fatal("cannot write trace to '%s'", traceTextPath.c_str());
-        writeTextTimeline(machine.trace(), TextDumpOptions{}, f);
-        if (f != stdout)
-            std::fclose(f);
+    if (traceText) {
+        writeTextTimeline(machine.trace(), TextDumpOptions{}, traceText);
+        if (traceText != stdout && std::fclose(traceText) != 0)
+            args.fail("cannot write trace to '" + traceTextPath + "'");
     }
     return 0;
 }

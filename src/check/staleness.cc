@@ -1,5 +1,6 @@
 #include "check/staleness.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -124,36 +125,39 @@ StalenessOracle::clearMark(CoreId core, Marks::iterator it)
 }
 
 void
-StalenessOracle::notePageTableInvalidation(Pcid pcid, MmId mm,
-                                           Vpn start_vpn, Vpn end_vpn,
-                                           const CpuMask &cores,
-                                           Tick deadline, const char *op)
+StalenessOracle::notePageTableInvalidation(
+    Pcid pcid, MmId mm, std::vector<std::pair<Vpn, Pfn>> changed,
+    const CpuMask &cores, Tick deadline, const char *op)
 {
+    bool sorted = false;
     cores.forEach([&](CoreId core) {
         if (core >= mirrors_.size())
             return;
         const Mirror &mirror = mirrors_[core];
         if (mirror.empty())
             return;
-        // Scan whichever side is smaller: the vpn range or the
-        // core's whole mirror.
-        const std::uint64_t span = end_vpn - start_vpn + 1;
-        if (span <= mirror.size()) {
-            for (Vpn vpn = start_vpn; vpn <= end_vpn; ++vpn) {
+        const auto mark = [&](const Key &k, Pfn pfn) {
+            place(core, k, Mark{deadline, pfn, mm, op});
+        };
+        // Probe each changed page, or scan the core's whole mirror
+        // when that is smaller and look its entries up among them.
+        if (changed.size() <= mirror.size()) {
+            for (const auto &[vpn, pfn] : changed) {
                 auto it = mirror.find(Key{vpn, pcid});
-                if (it != mirror.end())
-                    place(core, it->first,
-                          Mark{deadline, it->second, mm, op});
+                if (it != mirror.end() && it->second == pfn)
+                    mark(it->first, pfn);
             }
-        } else {
-            for (const auto &kv : mirror) {
-                if (kv.first.pcid == pcid &&
-                    kv.first.vpn >= start_vpn &&
-                    kv.first.vpn <= end_vpn)
-                    place(core, kv.first,
-                          Mark{deadline, kv.second, mm, op});
-            }
+            return;
         }
+        if (!sorted) {
+            std::sort(changed.begin(), changed.end());
+            sorted = true;
+        }
+        for (const auto &[k, pfn] : mirror)
+            if (k.pcid == pcid &&
+                std::binary_search(changed.begin(), changed.end(),
+                                   std::make_pair(k.vpn, pfn)))
+                mark(k, pfn);
     });
 }
 

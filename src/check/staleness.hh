@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hw/tlb.hh"
@@ -32,7 +33,8 @@ namespace latr
  * Usage: attach to every TLB (addListener) and the frame allocator,
  * attach the event queue as the clock, and have the kernel call
  * notePageTableInvalidation() after each page-table-invalidating
- * operation with `deadline = op completion + contract.epochBound`.
+ * operation with the pages it changed and `deadline = op completion
+ * + contract.epochBound`.
  * Only translations still cached somewhere at that point are marked;
  * each mark must be cleared (by the TLB removal the policy owes us)
  * no later than its deadline. auditAt() catches marks that were
@@ -71,18 +73,22 @@ class StalenessOracle : public TlbListener, public FrameListener
     /// @}
 
     /**
-     * The kernel invalidated [start_vpn, end_vpn] of @p pcid in the
-     * page tables; the policy promised every TLB copy dies by
-     * @p deadline. Marks every translation of the range still
-     * mirrored on a core in @p cores. Re-marking keeps the earliest
-     * deadline (an older, stricter promise stays binding).
+     * The kernel changed the translations @p changed, (vpn, pfn)
+     * pairs of @p pcid's space (a 2 MiB mapping by its base vpn and
+     * pfn, as its TLB entry holds them); the policy promised every
+     * TLB copy dies by @p deadline. Marks each entry still mirrored
+     * on a core in @p cores that maps one of those vpns to its pfn,
+     * and nothing else: an entry the operation did not change, such
+     * as a stale one an earlier operation still owes, keeps that
+     * operation's promise. Re-marking keeps the earliest deadline
+     * (an older, stricter promise stays binding).
      *
      * @param op short operation label for violation reports
      *        (e.g. "munmap"); must outlive the oracle (static).
      */
-    void notePageTableInvalidation(Pcid pcid, MmId mm, Vpn start_vpn,
-                                   Vpn end_vpn, const CpuMask &cores,
-                                   Tick deadline, const char *op);
+    void notePageTableInvalidation(
+        Pcid pcid, MmId mm, std::vector<std::pair<Vpn, Pfn>> changed,
+        const CpuMask &cores, Tick deadline, const char *op);
 
     /**
      * End-of-run audit: any mark still pending past its deadline at

@@ -179,15 +179,9 @@ CompactionDaemon::completeMoves(std::vector<PendingMove> moves)
         }
         // Restore accessibility, then move onto the chosen frame.
         pte->flags &= static_cast<std::uint8_t>(~kPteProtNone);
-        bool moved = false;
-        spent += migrator.migrateToFrame(context, move.vpn, target,
-                                         &moved);
-        if (moved) {
-            ++stats_.pagesMoved;
-            kernel_.stats().counter("compaction.pages_moved").inc();
-        } else {
-            ++stats_.aborts;
-        }
+        spent += migrator.migrateToFrame(context, move.vpn, target);
+        ++stats_.pagesMoved;
+        kernel_.stats().counter("compaction.pages_moved").inc();
     }
     if (context)
         kernel_.scheduler().chargeStolen(context->core(), spent);

@@ -58,14 +58,13 @@ Khugepaged::collapse(Process *process, Vpn base_vpn)
     // existing PMD mapping.
     if (mm.pageTable().findHuge(base_vpn))
         return 0;
-    std::vector<Pfn> old_frames;
-    old_frames.reserve(kHugePageSpan);
+    FreedFrames old;
     std::uint8_t prot_flags = 0;
     for (Vpn v = base_vpn; v < base_vpn + kHugePageSpan; ++v) {
         const Pte *pte = mm.pageTable().find(v);
         if (!pte || pte->protNone() || pte->cow())
             return 0;
-        old_frames.push_back(pte->pfn);
+        old.pages.emplace_back(v, pte->pfn);
         prot_flags |= pte->flags & kPteWrite;
     }
 
@@ -78,35 +77,24 @@ Khugepaged::collapse(Process *process, Vpn base_vpn)
 
     const CostModel &cost = kernel_.cost();
     const CoreId core = context->core();
-    Duration spent = 0;
 
     // Unmap the 512 base PTEs and shoot the range down — this remaps
     // physical addresses, so it is synchronous under every policy
-    // (table 1's remap row).
+    // (table 1's remap row). The old frames return to the pool once
+    // the copy is done.
     for (Vpn v = base_vpn; v < base_vpn + kHugePageSpan; ++v)
         mm.pageTable().unmap(v);
-    spent += cost.pteClearPerPage * 8; // batched PMD-leaf clears
-    kernel_.scheduler().tlbOf(core).invalidateRange(
-        base_vpn, base_vpn + kHugePageSpan - 1, mm.pcid());
-    spent += cost.tlbFullFlush;
-    spent += kernel_.policy()->onSyncShootdown(
-        &mm, core, base_vpn, base_vpn + kHugePageSpan - 1,
-        kHugePageSpan, kernel_.now() + spent);
+    const Duration copy = cost.migrateCopyPerPage * (kHugePageSpan / 8);
+    Duration spent = cost.pteClearPerPage * 8; // batched PMD-leaf clears
+    spent += kernel_.syncInvalidate(
+        mm, core, base_vpn, base_vpn + kHugePageSpan - 1, std::move(old),
+        kernel_.now() + spent, "thp_collapse", /*release=*/true, copy);
 
     // Copy and install the PMD mapping.
-    spent += cost.migrateCopyPerPage * (kHugePageSpan / 8);
+    spent += copy;
     mm.pageTable().mapHuge(base_vpn, huge,
                            static_cast<std::uint8_t>(prot_flags |
                                                      kPteAccessed));
-
-    // The old frames return to the pool once the shootdown finished
-    // (every invalidation event precedes the last ACK).
-    FrameAllocator &frames = kernel_.frames();
-    kernel_.queue().scheduleLambda(
-        kernel_.now() + spent, [&frames, old_frames]() {
-            for (Pfn f : old_frames)
-                frames.put(f);
-        });
 
     ++stats_.promotions;
     kernel_.stats().counter("thp.promotions").inc();

@@ -77,42 +77,36 @@ KsmDaemon::merge(Process *dup, Vpn dup_vpn, Process *survivor,
     //    the copies stay identical.
     pte->flags |= kPteCow;
     pte->flags &= static_cast<std::uint8_t>(~kPteWrite);
-    kernel_.scheduler().tlbOf(core).invalidatePage(dup_vpn,
-                                                   mm.pcid());
-    spent += kernel_.cost().invlpg;
-    spent += kernel_.policy()->onSyncShootdown(
-        &mm, core, dup_vpn, dup_vpn, 1, kernel_.now() + spent);
+    spent += kernel_.syncInvalidate(mm, core, dup_vpn, dup_vpn,
+                                    FreedFrames::page(dup_vpn, dup_frame),
+                                    kernel_.now(), "ksm_merge");
 
     if (!s_pte->cow()) {
         s_pte->flags |= kPteCow;
         s_pte->flags &= static_cast<std::uint8_t>(~kPteWrite);
-        kernel_.scheduler()
-            .tlbOf(s_context->core())
-            .invalidatePage(survivor_vpn, s_mm.pcid());
-        spent += kernel_.cost().invlpg;
-        spent += kernel_.policy()->onSyncShootdown(
-            &s_mm, s_context->core(), survivor_vpn, survivor_vpn, 1,
-            kernel_.now() + spent);
+        spent += kernel_.syncInvalidate(
+            s_mm, s_context->core(), survivor_vpn, survivor_vpn,
+            FreedFrames::page(survivor_vpn, survivor_frame),
+            kernel_.now() + spent, "ksm_merge");
     }
 
     // 2. Switch the duplicate's PTE to the survivor's frame.
     kernel_.frames().get(survivor_frame);
     pte->pfn = survivor_frame;
 
-    // 3. Release the duplicate frame through the coherence policy's
-    //    free path — lazy under LATR. Stale translations still
-    //    reading the duplicate read identical bytes; the sweep (or
-    //    IPI) retires them before the frame is reused.
+    // 3. Release the duplicate frame through the kernel's free path —
+    //    lazy under LATR. Stale translations still reading the
+    //    duplicate read identical bytes; the sweep (or IPI) retires
+    //    them before the frame is reused.
     FreeOpContext ctx;
     ctx.mm = &mm;
     ctx.initiator = core;
     ctx.startVpn = dup_vpn;
     ctx.endVpn = dup_vpn;
-    ctx.frames.pages.emplace_back(dup_vpn, dup_frame);
-    ctx.vaStart = 0; // the virtual page stays mapped (new frame)
-    ctx.vaEnd = 0;
-    spent += kernel_.policy()->onFreePages(std::move(ctx),
-                                           kernel_.now() + spent);
+    ctx.frames = FreedFrames::page(dup_vpn, dup_frame);
+    // The virtual page stays mapped (new frame): no VA to release.
+    spent += kernel_.freePages(std::move(ctx), kernel_.now() + spent,
+                               "ksm_merge");
 
     ++stats_.merges;
     ++stats_.framesFreed;

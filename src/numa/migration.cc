@@ -1,5 +1,6 @@
 #include "numa/migration.hh"
 
+#include "sim/logging.hh"
 #include "trace/trace.hh"
 
 namespace latr
@@ -29,48 +30,35 @@ PageMigrator::migrate(Task *task, Vpn vpn, NodeId target)
 }
 
 Duration
-PageMigrator::migrateToFrame(Task *task, Vpn vpn, Pfn fresh,
-                             bool *moved_out)
+PageMigrator::migrateToFrame(Task *task, Vpn vpn, Pfn fresh)
 {
-    if (moved_out)
-        *moved_out = false;
     AddressSpace &mm = task->mm();
-    FrameAllocator &frames = mm.frames();
-    Pte *pte = mm.pageTable().find(vpn);
-    if (!pte || pte->pfn == fresh) {
-        frames.put(fresh);
-        return 0;
-    }
-    const Pfn old = pte->pfn;
+    const Pte *pte = mm.pageTable().find(vpn);
+    if (!pte || pte->pfn == fresh)
+        panic("migrateToFrame: vpn %llu is not mapped off the target",
+              static_cast<unsigned long long>(vpn));
 
     const CostModel &cost = kernel_.cost();
     const CoreId core = task->core();
     const Tick begin = kernel_.now();
-    Duration spent = cost.migrateBase;
 
-    // try_to_unmap: remove the translation, invalidate locally, and
-    // shoot it down synchronously — migration cannot copy while any
-    // core can still write the old frame. This shootdown exists
-    // under every policy; LATR only removed the *sampling* one.
-    Pte saved = mm.pageTable().unmap(vpn);
-    kernel_.scheduler().tlbOf(core).invalidatePage(vpn, mm.pcid());
-    spent += cost.pteClearPerPage + cost.invlpg;
-    const Duration wait = kernel_.policy()->onSyncShootdown(
-        &mm, core, vpn, vpn, 1, kernel_.now() + spent);
-    spent += wait;
+    // try_to_unmap: remove the translation and shoot it down
+    // synchronously — migration cannot copy while any core can still
+    // write the old frame. This shootdown exists under every policy;
+    // LATR only removed the *sampling* one. The old frame returns to
+    // the pool once the copy is done.
+    const Pte saved = mm.pageTable().unmap(vpn);
+    Duration spent = cost.migrateBase + cost.pteClearPerPage;
+    spent += kernel_.syncInvalidate(
+        mm, core, vpn, vpn, FreedFrames::page(vpn, saved.pfn),
+        begin + spent, "migrate", /*release=*/true,
+        cost.migrateCopyPerPage);
 
     // Copy and remap onto the target node.
     spent += cost.migrateCopyPerPage;
-    std::uint8_t flags = static_cast<std::uint8_t>(
-        saved.flags & ~(kPtePresent | kPteProtNone));
-    mm.pageTable().map(vpn, fresh, flags);
-
-    // The old frame returns to the pool once the shootdown is
-    // complete (every invalidation event precedes the last ACK).
-    kernel_.queue().scheduleLambda(kernel_.now() + spent,
-                                   [&frames, old]() {
-                                       frames.put(old);
-                                   });
+    mm.pageTable().map(vpn, fresh,
+                       static_cast<std::uint8_t>(
+                           saved.flags & ~(kPtePresent | kPteProtNone)));
 
     ++migrations_;
     kernel_.stats().counter("numa.migrations").inc();
@@ -81,8 +69,6 @@ PageMigrator::migrateToFrame(Task *task, Vpn vpn, Pfn fresh,
             t->endSpan(span, begin + spent);
         }
     }
-    if (moved_out)
-        *moved_out = true;
     return spent;
 }
 

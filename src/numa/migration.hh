@@ -32,14 +32,12 @@ class PageMigrator
     Duration migrate(Task *task, Vpn vpn, NodeId target);
 
     /**
-     * Migrate @p vpn onto a specific, already-allocated @p frame
-     * (refcount 1, owned by the caller until this returns). Used by
-     * the compaction daemon to move pages into chosen low frames.
-     * On abort the frame is released back.
-     * @param moved_out true if the page actually moved.
+     * Migrate @p vpn, which must be mapped to a frame other than
+     * @p frame, onto that already-allocated frame (refcount 1, owned
+     * by the caller until this returns). Used by the compaction
+     * daemon to move pages into chosen low frames.
      */
-    Duration migrateToFrame(Task *task, Vpn vpn, Pfn frame,
-                            bool *moved_out = nullptr);
+    Duration migrateToFrame(Task *task, Vpn vpn, Pfn frame);
 
     std::uint64_t migrations() const { return migrations_; }
 

@@ -155,16 +155,16 @@ Kernel::traceSyscall(const char *name, Tick begin,
 }
 
 void
-Kernel::noteInvalidation(AddressSpace &mm, Vpn s, Vpn e, Tick done,
-                         const char *op, bool lazy)
+Kernel::noteInvalidation(AddressSpace &mm,
+                         std::vector<std::pair<Vpn, Pfn>> changed,
+                         Tick done, const char *op, bool lazy)
 {
-    if (!staleness_)
-        return;
     // Looked up only for the oracle: PredictivePolicy derives its
     // contract from the topology on every call.
     const Tick deadline =
         lazy ? done + policy_->stalenessContract().epochBound : done;
-    staleness_->notePageTableInvalidation(mm.pcid(), mm.id(), s, e,
+    staleness_->notePageTableInvalidation(mm.pcid(), mm.id(),
+                                          std::move(changed),
                                           mm.residencyMask(), deadline,
                                           op);
 }
@@ -257,11 +257,10 @@ Kernel::munmap(Task *task, Addr addr, std::uint64_t len, bool sync)
     ctx.vaStart = pageAlignDown(addr);
     ctx.vaEnd = pageAlignUp(addr + len);
     ctx.syncRequested = sync;
-    const Duration pol = freePages(std::move(ctx), shoot_at);
+    const Duration pol = freePages(std::move(ctx), shoot_at, "munmap");
     // Linux performs the shootdown under mmap_sem; LATR's 132 ns
     // state save extends the hold negligibly.
     mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, "munmap", true);
 
     res.ok = true;
     res.shootdown = pol;
@@ -332,8 +331,7 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
     ctx.startVpn = s;
     ctx.endVpn = e;
     ctx.frames = std::move(ur);
-    const Duration pol = freePages(std::move(ctx), shoot_at);
-    noteInvalidation(mm, s, e, shoot_at + pol, op, true);
+    const Duration pol = freePages(std::move(ctx), shoot_at, op);
 
     res.ok = true;
     res.shootdown = pol;
@@ -344,23 +342,41 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
 }
 
 Duration
-Kernel::freePages(FreeOpContext ctx, Tick start)
+Kernel::freePages(FreeOpContext ctx, Tick start, const char *op)
 {
     // The policy consumes the per-page sharer info (ABIS, Predictive)
     // before it is forgotten.
     AddressSpace &mm = *ctx.mm;
-    std::vector<Vpn> unmapped;
-    unmapped.reserve(ctx.frames.pteCount());
-    ctx.frames.forEachVpn([&](Vpn vpn) { unmapped.push_back(vpn); });
+    std::vector<std::pair<Vpn, Pfn>> freed = ctx.frames.entries();
     const Duration pol = policy_->onFreePages(std::move(ctx), start);
-    for (Vpn vpn : unmapped)
-        mm.clearSharers(vpn);
+    for (const auto &page : freed)
+        mm.clearSharers(page.first);
+    if (staleness_)
+        noteInvalidation(mm, std::move(freed), start + pol, op, true);
     return pol;
+}
+
+Duration
+Kernel::syncInvalidate(AddressSpace &mm, CoreId core, Vpn s, Vpn e,
+                       FreedFrames changed, Tick start, const char *op,
+                       bool release, Duration copy)
+{
+    const std::uint64_t npages = changed.npages();
+    const Duration local = localInvalidate(core, mm, s, e, npages);
+    const Duration wait = policy_->onSyncShootdown(&mm, core, s, e,
+                                                   npages, start + local);
+    // Every remote invalidation lands before the last ACK.
+    const Tick acked = start + local + wait;
+    if (staleness_)
+        noteInvalidation(mm, changed.entries(), acked, op, false);
+    if (release)
+        policy_->releaseAt(acked + copy, &mm, std::move(changed));
+    return local + wait;
 }
 
 SyscallResult
 Kernel::syncSyscall(Task *task, Addr addr, std::uint64_t len,
-                    const UnmapResult &ur, Duration pt_work,
+                    UnmapResult ur, Duration pt_work,
                     Counter *&counter_cache, const char *counter,
                     const char *op)
 {
@@ -376,21 +392,17 @@ Kernel::syncSyscall(Task *task, Addr addr, std::uint64_t len,
     const Vpn s = pageOf(pageAlignDown(addr));
     const Vpn e = pageOf(pageAlignUp(addr + len)) - 1;
 
-    Duration base = config_.cost.vmaFixed + pt_work;
-    base += localInvalidate(core, mm, s, e, npages);
-
+    const Duration work = config_.cost.vmaFixed + pt_work;
     const Tick t0 = now + config_.cost.syscallFixed;
-    const Tick lock_at = mm.mmapSem().acquireWrite(t0, base);
-    const Tick shoot_at = lock_at + base;
-
-    const Duration pol =
-        policy_->onSyncShootdown(&mm, core, s, e, npages, shoot_at);
-    mm.mmapSem().extendWrite(pol);
-    noteInvalidation(mm, s, e, shoot_at + pol, op, false);
+    const Tick lock_at = mm.mmapSem().acquireWrite(t0, work);
+    const Duration sync = syncInvalidate(mm, core, s, e, std::move(ur),
+                                         lock_at + work, op);
+    mm.mmapSem().extendWrite(sync);
 
     res.ok = true;
-    res.shootdown = pol;
-    res.latency = (shoot_at + pol) - now;
+    // The local flush is page-table work; the rest is the shootdown.
+    res.shootdown = sync - config_.cost.localInvalidateCost(npages);
+    res.latency = lock_at + work + sync - now;
     counterOnce(counter_cache, counter).inc();
     traceSyscall(counter, now, res, core, mm.id(), npages);
     return res;
@@ -402,12 +414,12 @@ Kernel::mprotect(Task *task, Addr addr, std::uint64_t len,
 {
     // Permission changes must be synchronous under every policy
     // (table 1): stale writable entries are a correctness hazard.
-    const UnmapResult ur = task->mm().mprotectRegion(addr, len, prot);
+    UnmapResult ur = task->mm().mprotectRegion(addr, len, prot);
     const Duration pt_work =
         config_.cost.vmaPerPage * ur.spanned +
         config_.cost.pteClearPerPage * ur.pages.size();
-    return syncSyscall(task, addr, len, ur, pt_work, mprotectCtr_,
-                       "sys.mprotect", "mprotect");
+    return syncSyscall(task, addr, len, std::move(ur), pt_work,
+                       mprotectCtr_, "sys.mprotect", "mprotect");
 }
 
 SyscallResult
@@ -422,9 +434,9 @@ Kernel::mremap(Task *task, Addr old_addr, std::uint64_t old_len,
     const Duration pt_work =
         config_.cost.vmaPerPage * moved.spanned +
         config_.cost.pteMapPerPage * moved.pages.size();
-    SyscallResult res = syncSyscall(task, old_addr, old_len, moved,
-                                    pt_work, mremapCtr_, "sys.mremap",
-                                    "mremap");
+    SyscallResult res = syncSyscall(task, old_addr, old_len,
+                                    std::move(moved), pt_work,
+                                    mremapCtr_, "sys.mremap", "mremap");
     res.addr = new_addr; // kAddrInvalid when the remap failed
     return res;
 }
@@ -434,9 +446,10 @@ Kernel::markCow(Task *task, Addr addr, std::uint64_t len)
 {
     // Ownership changes are synchronous (table 1): every core must
     // lose write access before sharing begins.
-    const UnmapResult ur = task->mm().markCowRegion(addr, len);
-    return syncSyscall(task, addr, len, ur,
-                       config_.cost.pteClearPerPage * ur.pages.size(),
+    UnmapResult ur = task->mm().markCowRegion(addr, len);
+    const Duration pt_work =
+        config_.cost.pteClearPerPage * ur.pages.size();
+    return syncSyscall(task, addr, len, std::move(ur), pt_work,
                        markCowCtr_, "sys.markcow", "markcow");
 }
 
@@ -451,26 +464,23 @@ Kernel::breakCow(Task *task, Vpn vpn)
 
     Duration spent = 0;
     const Pfn old = pte->pfn;
+    pte->flags |= kPteWrite;
+    pte->flags &= static_cast<std::uint8_t>(~kPteCow);
     if (frames_.refcount(old) > 1) {
         // Copy the page; the old frame stays with the other owner.
+        // Stale translations to it must die before this mm continues
+        // writing, and this mm's reference lasts until they have.
         const Pfn fresh = frames_.alloc(topo_.nodeOf(core));
         if (fresh == kPfnInvalid)
             fatal("out of memory during CoW break");
         spent += config_.cost.migrateCopyPerPage;
         pte->pfn = fresh;
-        pte->flags |= kPteWrite;
-        pte->flags &= static_cast<std::uint8_t>(~kPteCow);
-        // Stale translations to the old frame must die before this
-        // mm continues writing — synchronous shootdown.
-        sched_.tlbOf(core).invalidatePage(vpn, mm.pcid());
-        spent += config_.cost.invlpg;
-        spent += policy_->onSyncShootdown(&mm, core, vpn, vpn, 1,
-                                          queue_.now() + spent);
-        frames_.put(old);
+        spent += syncInvalidate(mm, core, vpn, vpn,
+                                FreedFrames::page(vpn, old),
+                                queue_.now() + spent, "cow_break",
+                                /*release=*/true);
     } else {
         // Sole owner: upgrade in place.
-        pte->flags |= kPteWrite;
-        pte->flags &= static_cast<std::uint8_t>(~kPteCow);
         sched_.tlbOf(core).invalidatePage(vpn, mm.pcid());
         spent += config_.cost.invlpg;
     }
@@ -542,11 +552,13 @@ Kernel::numaSample(Task *task, Vpn vpn)
     const Tick now = queue_.now();
     // Mirror the policies' raced-with-unmap guard: a sample that
     // finds no PTE invalidates nothing, so nothing is promised.
-    const bool mapped = mm.pageTable().find(vpn) != nullptr;
+    const Pte *pte = mm.pageTable().find(vpn);
+    const Pfn pfn = pte ? pte->pfn : kPfnInvalid;
     const Duration pol =
         policy_->onNumaSample(&mm, task->core(), vpn, now);
-    if (mapped)
-        noteInvalidation(mm, vpn, vpn, now + pol, "numa_sample", true);
+    if (pte && staleness_)
+        noteInvalidation(mm, {{vpn, pfn}}, now + pol, "numa_sample",
+                         true);
     return pol;
 }
 

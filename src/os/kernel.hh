@@ -179,6 +179,31 @@ class Kernel
     /// @}
 
     /**
+     * The path of every free a policy may finish lazily (munmap,
+     * madvise, KSM's duplicate frame): hand it to the policy, then
+     * forget the freed pages' sharer info (ABIS and Predictive read
+     * it first) and mark the pages for the staleness oracle as @p op.
+     */
+    Duration freePages(FreeOpContext ctx, Tick start, const char *op);
+
+    /**
+     * The path of every translation change no policy may defer
+     * (table 1: mprotect, mremap, CoW marking and breaking,
+     * migration, KSM's write-protects, THP collapse). The caller has
+     * edited the entries of @p changed, in [s, e]. From @p start,
+     * invalidate [s, e] on @p core, shoot down the other resident
+     * cores, and mark @p changed for the oracle as @p op, due by the
+     * last ACK. With @p release, the change replaced the frames of
+     * @p changed (or the caller's references to them): they are
+     * released @p copy after the last ACK.
+     * @return the local invalidation plus the shootdown wait.
+     */
+    Duration syncInvalidate(AddressSpace &mm, CoreId core, Vpn s, Vpn e,
+                            FreedFrames changed, Tick start,
+                            const char *op, bool release = false,
+                            Duration copy = 0);
+
+    /**
      * Install the NUMA-hint fault handler (the AutoNUMA subsystem
      * registers itself here).
      */
@@ -211,21 +236,14 @@ class Kernel
                                 const char *counter, const char *op);
 
     /**
-     * Hand a free operation to the policy, then forget the freed
-     * pages' sharer info (ABIS and Predictive read it first).
-     */
-    Duration freePages(FreeOpContext ctx, Tick start);
-
-    /**
      * Shared body of mprotect() / mremap() / markCow(): @p ur holds
      * the pages of [addr, addr + len) whose entries the call already
-     * changed, at a page-table cost of vmaFixed + @p pt_work under
-     * mmap_sem held for write; the change reaches every TLB before
-     * the call returns (table 1). Counted and traced as @p counter,
-     * reported to the staleness oracle as @p op.
+     * changed, at a page-table cost of vmaFixed + @p pt_work, then
+     * syncInvalidate(), all under mmap_sem held for write. Counted and
+     * traced as @p counter, reported to the staleness oracle as @p op.
      */
     SyscallResult syncSyscall(Task *task, Addr addr, std::uint64_t len,
-                              const UnmapResult &ur, Duration pt_work,
+                              UnmapResult ur, Duration pt_work,
                               Counter *&counter_cache,
                               const char *counter, const char *op);
 
@@ -244,16 +262,16 @@ class Kernel
                       std::uint64_t npages);
 
     /**
-     * Report an invalidated page-table range to the staleness
-     * oracle, if attached: every TLB copy of [s, e] must be gone by
-     * @p done, plus the policy's contract epoch bound when @p lazy
-     * (free ops and NUMA samples, which a lazy policy may finish after
-     * the call returns). Called after the policy call, so
-     * translations the policy already killed synchronously are
-     * exempt.
+     * Tell the attached staleness oracle that every TLB copy of the
+     * @p changed translations must be gone by @p done, plus the
+     * policy's contract epoch bound when @p lazy (free ops and NUMA
+     * samples, which a lazy policy may finish after the call
+     * returns). Called after the policy call, so translations the
+     * policy already killed synchronously are exempt.
      */
-    void noteInvalidation(AddressSpace &mm, Vpn s, Vpn e, Tick done,
-                          const char *op, bool lazy);
+    void noteInvalidation(AddressSpace &mm,
+                          std::vector<std::pair<Vpn, Pfn>> changed,
+                          Tick done, const char *op, bool lazy);
 
     EventQueue &queue_;
     const NumaTopology &topo_;

@@ -142,6 +142,11 @@ latraceParse(const std::string &bytes, Latrace *out,
     const std::uint64_t count = get64(p + 56);
     if (trace.workers == 0 || trace.tenants == 0)
         return fail(error, "latrace: needs a worker and a tenant");
+    if (trace.durationTicks > kLatraceMaxDuration ||
+        trace.workers > kLatraceMaxWorkers ||
+        trace.tenants > kLatraceMaxTenants ||
+        trace.serviceCpuNs > kLatraceMaxServiceCpu)
+        return fail(error, "latrace: scenario field out of range");
 
     // Divide rather than multiply: count * recordBytes can wrap.
     const std::uint64_t body = bytes.size() - headerBytes;

@@ -99,13 +99,25 @@ struct Latrace
     }
 };
 
+/// @name Scenario bounds a .latrace header must keep
+/// The first three are latrsim_cli's --duration-ticks, --workers and
+/// --tenants ranges. A request body that computes for more than a
+/// second (the generator's default is 30 us) is no serving scenario.
+/// @{
+constexpr Tick kLatraceMaxDuration = 3600 * kSec;
+constexpr std::uint32_t kLatraceMaxWorkers = 1024;
+constexpr std::uint32_t kLatraceMaxTenants = 4096;
+constexpr Duration kLatraceMaxServiceCpu = kSec;
+/// @}
+
 /** Serialize @p trace to its canonical byte representation. */
 std::string latraceSerialize(const Latrace &trace);
 
 /**
  * Parse @p bytes into @p out. @return false (with a reason in
  * @p error if non-null) on bad magic, unknown version, a header
- * without a worker or a tenant, or a truncated/oversized body.
+ * without a worker or a tenant or with a field beyond its bound, or
+ * a truncated/oversized body.
  */
 bool latraceParse(const std::string &bytes, Latrace *out,
                   std::string *error = nullptr);

@@ -142,6 +142,17 @@ class Args
         return choice(name, out, std::move(table));
     }
 
+    /**
+     * Print one line naming the binary and @p what, and exit 2: for
+     * bad input a binary finds after parse(), before any work.
+     */
+    [[noreturn]] void
+    fail(const std::string &what) const
+    {
+        std::fprintf(stderr, "%s: %s\n", program_.c_str(), what.c_str());
+        std::exit(2);
+    }
+
     /** Apply @p argv to the declared flags; exits 2 on any refusal. */
     void
     parse(int argc, char **argv)
@@ -215,13 +226,6 @@ class Args
             if (f.name == name)
                 return &f;
         return nullptr;
-    }
-
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        std::fprintf(stderr, "%s: %s\n", program_.c_str(), what.c_str());
-        std::exit(2);
     }
 
     std::vector<Flag> flags_;

@@ -82,6 +82,7 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
     // reuse semantics (use-after-free detectors) get the IPI path.
     LatrState *slot =
         ctx.syncRequested ? nullptr : allocSlot(ctx.initiator);
+    shootdownsCtr_.inc();
 
     if (!slot) {
         // Ring full (or sync requested): fall back to IPIs
@@ -92,10 +93,9 @@ LatrPolicy::onFreePages(FreeOpContext ctx, Tick start)
                 t->instant("latr", "latr.ring_full_fallback", start,
                            ctx.initiator, ctx.mm->id());
         }
-        return TlbCoherencePolicy::onFreePages(std::move(ctx), start);
+        return syncFree(ctx, remoteTargets(ctx.mm, ctx.initiator),
+                        start);
     }
-
-    shootdownsCtr_.inc();
 
     // Save the LATR state: one ring entry written with ordinary
     // stores — no IPI, no wait (figure 2b).

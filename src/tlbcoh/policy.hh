@@ -169,13 +169,20 @@ class TlbCoherencePolicy
 
     /**
      * A page-table change that must be visible system-wide before
-     * the operation returns (mprotect / mremap / CoW). PTEs are
+     * the operation returns (Kernel::syncInvalidate()). PTEs are
      * already updated; nothing is freed here. Every policy shoots
      * down every resident core, over its own shootdown().
      */
     Duration onSyncShootdown(AddressSpace *mm, CoreId initiator,
                              Vpn start_vpn, Vpn end_vpn,
                              std::uint64_t npages, Tick start);
+
+    /**
+     * Free @p frames, and release [va_start, va_end) from @p mm's
+     * holdback when non-empty, at tick @p at.
+     */
+    void releaseAt(Tick at, AddressSpace *mm, FreedFrames frames,
+                   Addr va_start = 0, Addr va_end = 0);
 
     /**
      * AutoNUMA sampled @p vpn: make it prot-none and invalidate it
@@ -238,13 +245,6 @@ class TlbCoherencePolicy
      */
     Duration syncNumaSample(AddressSpace *mm, CoreId initiator,
                             Pte *pte, Vpn vpn, Tick start);
-
-    /**
-     * Free @p frames, and release [va_start, va_end) from @p mm's
-     * holdback when non-empty, at tick @p at.
-     */
-    void releaseAt(Tick at, AddressSpace *mm, FreedFrames frames,
-                   Addr va_start = 0, Addr va_end = 0);
 
     /** Remote targets for @p mm: cores whose TLBs may hold entries. */
     CpuMask remoteTargets(AddressSpace *mm, CoreId initiator) const;

@@ -47,6 +47,15 @@ struct FreedFrames
     /** (base vpn, base pfn) of every present 2 MiB mapping. */
     std::vector<std::pair<Vpn, Pfn>> hugePages;
 
+    /** The one 4 KiB page @p vpn, backed by @p pfn. */
+    static FreedFrames
+    page(Vpn vpn, Pfn pfn)
+    {
+        FreedFrames one;
+        one.pages.emplace_back(vpn, pfn);
+        return one;
+    }
+
     /** 4 KiB pages covered: a 2 MiB mapping counts as 512. */
     std::uint64_t
     npages() const
@@ -72,6 +81,15 @@ struct FreedFrames
             fn(page.first);
         for (const auto &page : hugePages)
             fn(page.first);
+    }
+
+    /** Every (vpn, pfn), 4 KiB pages first. */
+    std::vector<std::pair<Vpn, Pfn>>
+    entries() const
+    {
+        std::vector<std::pair<Vpn, Pfn>> out = pages;
+        out.insert(out.end(), hugePages.begin(), hugePages.end());
+        return out;
     }
 
     /** Return every frame to @p frames, 4 KiB pages first; clears. */

@@ -19,12 +19,16 @@ class AutoNumaPolicies : public ::testing::TestWithParam<PolicyKind>
         : machine(test::tinyConfig(), GetParam()),
           kernel(machine.kernel())
     {
+        machine.installStalenessOracle();
         process = kernel.createProcess("app");
         // t0 on node 0, t4 on node 1.
         t0 = kernel.spawnTask(process, 0);
         t4 = kernel.spawnTask(process, 4);
         machine.run(kUsec);
     }
+
+    /** Both checkers clean under every policy. */
+    void TearDown() override { test::expectNoViolations(machine); }
 
     Machine machine;
     Kernel &kernel;
@@ -123,8 +127,7 @@ TEST_P(AutoNumaPolicies, LocalTouchesNeverMigrate)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, AutoNumaPolicies,
-    ::testing::Values(PolicyKind::LinuxSync, PolicyKind::Latr,
-                      PolicyKind::Abis),
+    ::testing::ValuesIn(test::allPolicies()),
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         return policyKindName(info.param);
     });

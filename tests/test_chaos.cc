@@ -2,10 +2,16 @@
 // compaction, khugepaged) running at once over randomized
 // multi-core workloads with base and huge pages, under every
 // coherence policy — the widest net for ordering bugs in the lazy
-// paths. The reuse-invariant checker arbitrates.
+// paths. A setup phase gives each daemon work it must act on: pages
+// above the middle of node 0 (compaction), one content tag across
+// both processes (KSM, and a write after the merge that copies the
+// merged page), a fully touched 2 MiB-aligned base-page region
+// (khugepaged). The reuse-invariant checker and the staleness oracle
+// arbitrate; the test also asserts that every daemon acted.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "numa/autonuma.hh"
@@ -37,15 +43,111 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
     MachineConfig cfg = test::tinyConfig();
     cfg.framesPerNode = 16 * 1024;
     Machine machine(cfg, param.policy);
+    machine.installStalenessOracle();
     Kernel &kernel = machine.kernel();
     Rng rng(param.seed);
 
+    // Task i runs on core i: odd cores for a, even ones for b.
     Process *pa = kernel.createProcess("a");
     Process *pb = kernel.createProcess("b");
     std::vector<Task *> tasks;
     for (CoreId c = 0; c < machine.topo().totalCores(); ++c)
         tasks.push_back(kernel.spawnTask(c % 2 ? pa : pb, c));
     machine.run(kUsec);
+
+    struct Region
+    {
+        Task *owner;
+        std::uint32_t ownerIdx;
+        Addr addr;
+        std::uint64_t pages;
+        bool huge;
+        std::uint32_t slot;
+    };
+
+    // Best-effort replayable record of the run (the daemons
+    // themselves cannot be captured in a script).
+    Script repro;
+    repro.seed = param.seed;
+    repro.procs = 2;
+    std::uint32_t nextSlot = 0;
+
+    auto map = [&](std::uint32_t taskIdx, std::uint64_t pages,
+                   bool huge) -> std::optional<Region> {
+        Task *task = tasks[taskIdx];
+        const SyscallResult m =
+            huge ? kernel.mmapHuge(task, pages * kPageSize,
+                                   kProtRead | kProtWrite)
+                 : kernel.mmap(task, pages * kPageSize,
+                               kProtRead | kProtWrite);
+        if (!m.ok)
+            return std::nullopt;
+        repro.ops.push_back(Op{huge ? OpKind::MmapHuge : OpKind::Mmap,
+                               taskIdx, nextSlot,
+                               huge ? pages / kHugePageSpan : pages, 0,
+                               true});
+        return Region{task, taskIdx, m.addr, pages, huge, nextSlot++};
+    };
+    auto touch = [&](std::uint32_t taskIdx, const Region &r,
+                     std::uint64_t page, bool write) {
+        kernel.touch(tasks[taskIdx], r.addr + page * kPageSize, write);
+        repro.ops.push_back(
+            Op{OpKind::Touch, taskIdx, r.slot, 0, page, write});
+    };
+    auto unmap = [&](const Region &r) {
+        kernel.munmap(r.owner, r.addr, r.pages * kPageSize);
+        repro.ops.push_back(
+            Op{OpKind::Munmap, r.ownerIdx, r.slot, 0, 0, false});
+    };
+
+    // Setup, from tasks on node 0 (a: core 1, b: core 0).
+    const std::uint32_t a0 = 1, b0 = 0;
+    ASSERT_EQ(machine.topo().nodeOf(a0), 0u);
+    ASSERT_EQ(machine.topo().nodeOf(b0), 0u);
+    std::vector<Region> fixed;
+
+    // Compaction: huge pages fill the lower half of node 0, so the
+    // next base pages land above its middle; then the huge pages go.
+    std::vector<Region> burn;
+    const std::uint64_t halfNode = cfg.framesPerNode / 2;
+    for (std::uint64_t done = 0; done < halfNode;
+         done += 8 * kHugePageSpan) {
+        burn.push_back(*map(a0, 8 * kHugePageSpan, true));
+        for (std::uint64_t p = 0; p < 8 * kHugePageSpan;
+             p += kHugePageSpan)
+            touch(a0, burn.back(), p, true);
+    }
+    // More of them than AutoNUMA samples (64) before compaction's
+    // first round, which skips sampled pages.
+    const Region high = *map(a0, 256, false);
+    for (std::uint64_t p = 0; p < high.pages; ++p)
+        touch(a0, high, p, true);
+    for (const Region &r : burn)
+        unmap(r);
+    EXPECT_GE(pa->mm().pageTable().find(pageOf(high.addr))->pfn,
+              halfNode);
+    fixed.push_back(high);
+
+    // KSM: eight pages in each process with one content tag.
+    constexpr std::uint64_t kDupTag = 0xD00D;
+    const Region dupA = *map(a0, 8, false);
+    const Region dupB = *map(b0, 8, false);
+    for (const Region &r : {dupA, dupB}) {
+        for (std::uint64_t p = 0; p < r.pages; ++p) {
+            touch(r.ownerIdx, r, p, true);
+            r.owner->mm().setContentTag(pageOf(r.addr) + p, kDupTag);
+        }
+        fixed.push_back(r);
+    }
+
+    // khugepaged: a fully touched, aligned 2 MiB span of base pages.
+    const Region span = *map(b0, 3 * kHugePageSpan, false);
+    const Vpn spanVpn = pageOf(span.addr);
+    const std::uint64_t first =
+        hugeBaseOf(spanVpn + kHugePageSpan - 1) - spanVpn;
+    for (std::uint64_t p = first; p < first + kHugePageSpan; ++p)
+        touch(b0, span, p, true);
+    fixed.push_back(span);
 
     AutoNuma autonuma(kernel, 4 * kMsec, 64);
     autonuma.track(pa);
@@ -70,60 +172,30 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
     thp.track(pb);
     thp.start();
 
-    struct Region
-    {
-        Task *owner;
-        std::uint32_t ownerIdx;
-        Addr addr;
-        std::uint64_t pages;
-        bool huge;
-        std::uint32_t slot;
-    };
     std::vector<Region> regions;
-
-    // Best-effort replayable record of the soup (the daemons
-    // themselves cannot be captured in a script).
-    Script repro;
-    repro.seed = param.seed;
-    repro.procs = 2;
-    std::uint32_t nextSlot = 0;
-
     const int kOps = 700;
     for (int op = 0; op < kOps; ++op) {
         const std::uint32_t taskIdx =
             static_cast<std::uint32_t>(rng.nextBounded(tasks.size()));
-        Task *task = tasks[taskIdx];
         switch (rng.nextBounded(10)) {
           case 0:
           case 1: { // mmap (occasionally huge)
             const bool huge = rng.nextBool(0.15);
-            SyscallResult m =
-                huge ? kernel.mmapHuge(task, kHugePageSize,
-                                       kProtRead | kProtWrite)
-                     : kernel.mmap(task,
-                                   (1 + rng.nextBounded(12)) *
-                                       kPageSize,
-                                   kProtRead | kProtWrite);
-            if (m.ok) {
-                const std::uint64_t pages =
-                    huge ? kHugePageSpan
-                         : pagesSpanned(m.addr, kPageSize);
-                regions.push_back(
-                    {task, taskIdx, m.addr, pages, huge, nextSlot});
-                repro.ops.push_back(
-                    Op{huge ? OpKind::MmapHuge : OpKind::Mmap,
-                       taskIdx, nextSlot++, huge ? 1 : pages, 0,
-                       true});
-            }
+            const std::uint64_t pages =
+                huge ? kHugePageSpan : 1 + rng.nextBounded(12);
+            if (std::optional<Region> r = map(taskIdx, pages, huge))
+                regions.push_back(*r);
             break;
           }
           case 2:
           case 3:
           case 4:
-          case 5: { // touch (tag some pages for KSM)
-            if (regions.empty())
-                break;
-            Region &r = regions[rng.nextBounded(regions.size())];
+          case 5: { // touch any region (tag some soup pages for KSM)
+            const std::size_t idx =
+                rng.nextBounded(fixed.size() + regions.size());
+            const bool setup = idx < fixed.size();
+            const Region &r =
+                setup ? fixed[idx] : regions[idx - fixed.size()];
             const std::uint32_t toucherIdx =
                 static_cast<std::uint32_t>(
                     rng.nextBounded(tasks.size()));
@@ -131,14 +203,12 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
             if (toucher->process() != r.owner->process())
                 break;
             const std::uint64_t page = rng.nextBounded(r.pages);
-            Addr addr = r.addr + page * kPageSize;
-            const bool write = rng.nextBool(0.4);
-            kernel.touch(toucher, addr, write);
-            repro.ops.push_back(Op{OpKind::Touch, toucherIdx,
-                                   r.slot, 0, page, write});
-            if (!r.huge && rng.nextBool(0.2))
+            touch(toucherIdx, r, page, rng.nextBool(0.4));
+            // Setup pages keep their tags: a merged page in the 2 MiB
+            // span would stop khugepaged.
+            if (!setup && !r.huge && rng.nextBool(0.2))
                 toucher->mm().setContentTag(
-                    pageOf(addr), 1 + rng.nextBounded(6));
+                    pageOf(r.addr) + page, 1 + rng.nextBounded(6));
             break;
           }
           case 6:
@@ -146,11 +216,8 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
             if (regions.empty())
                 break;
             std::size_t idx = rng.nextBounded(regions.size());
-            Region r = regions[idx];
+            unmap(regions[idx]);
             regions.erase(regions.begin() + idx);
-            kernel.munmap(r.owner, r.addr, r.pages * kPageSize);
-            repro.ops.push_back(Op{OpKind::Munmap, r.ownerIdx,
-                                   r.slot, 0, 0, false});
             break;
           }
           case 8: { // madvise part
@@ -173,25 +240,49 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
         }
     }
 
+    // A write after the merge: pages that still share a frame copy
+    // it. The first write may only resolve an AutoNUMA hint.
+    std::uint64_t shared = 0;
+    for (const Region &r : {dupA, dupB})
+        for (std::uint64_t p = 0; p < r.pages; ++p) {
+            const Pte *pte =
+                r.owner->mm().pageTable().find(pageOf(r.addr) + p);
+            if (pte && machine.frames().refcount(pte->pfn) > 1)
+                ++shared;
+        }
+    EXPECT_GT(shared, 0u);
+    for (const Region &r : {dupA, dupB})
+        for (std::uint64_t p = 0; p < r.pages; ++p) {
+            touch(r.ownerIdx, r, p, true);
+            touch(r.ownerIdx, r, p, true);
+        }
+
     autonuma.stop();
     swap.stop();
     ksm.stop();
     compactor.stop();
     thp.stop();
 
-    for (const Region &r : regions) {
-        kernel.munmap(r.owner, r.addr, r.pages * kPageSize);
-        repro.ops.push_back(
-            Op{OpKind::Munmap, r.ownerIdx, r.slot, 0, 0, false});
-    }
+    for (const std::vector<Region> *list : {&fixed, &regions})
+        for (const Region &r : *list)
+            unmap(r);
     machine.run(12 * kMsec);
     repro.ops.push_back(Op{OpKind::Quiesce, 0, 0, 0, 0, false});
 
-    EXPECT_EQ(machine.checker()->violations(), 0u)
-        << machine.checker()->firstViolation();
+    test::expectNoViolations(machine);
     EXPECT_EQ(machine.frames().allocatedFrames(), 0u);
     EXPECT_EQ(pa->mm().heldBackBytes(), 0u);
     EXPECT_EQ(pb->mm().heldBackBytes(), 0u);
+
+    // Every daemon acted, and every synchronous change ran.
+    EXPECT_GT(autonuma.migrations(), 0u);
+    EXPECT_GT(swap.evictions(), 0u);
+    EXPECT_GT(ksm.stats().merges, 0u);
+    EXPECT_GT(compactor.stats().samples, 0u);
+    EXPECT_GT(compactor.stats().pagesMoved, 0u);
+    EXPECT_GT(thp.stats().regionsScanned, 0u);
+    EXPECT_GT(thp.stats().promotions, 0u);
+    EXPECT_GT(machine.stats().counterValue("vm.cow_breaks"), 0u);
 
     if (::testing::Test::HasFailure()) {
         const std::string stem =
@@ -204,7 +295,8 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
             << test::dumpFailureRepro(
                    repro, stem,
                    "background daemons (autonuma/swap/ksm/compaction/"
-                   "khugepaged) are not captured by this script");
+                   "khugepaged) and content tags are not captured by "
+                   "this script");
     }
 }
 
@@ -212,9 +304,7 @@ std::vector<ChaosParam>
 chaosParams()
 {
     std::vector<ChaosParam> all;
-    for (PolicyKind kind :
-         {PolicyKind::LinuxSync, PolicyKind::Latr, PolicyKind::Abis,
-          PolicyKind::Barrelfish})
+    for (PolicyKind kind : test::allPolicies())
         for (std::uint64_t seed : {7ull, 77ull})
             all.push_back({kind, seed});
     return all;

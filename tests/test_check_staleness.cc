@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "check/staleness.hh"
 #include "test_helpers.hh"
 
@@ -19,7 +22,7 @@ TEST(Staleness, OnTimeRemovalIsClean)
     o.onTlbInsert(0, 100, 7, 0);
     EXPECT_EQ(o.mirroredEntries(), 1u);
 
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 /*deadline=*/500, "munmap");
     EXPECT_EQ(o.pendingMarks(), 1u);
 
@@ -35,7 +38,7 @@ TEST(Staleness, LateRemovalIsAViolation)
     StalenessOracle o;
     o.setNow(0);
     o.onTlbInsert(3, 100, 7, 0);
-    o.notePageTableInvalidation(0, 2, 100, 100, CpuMask::single(3),
+    o.notePageTableInvalidation(0, 2, {{100, 7}}, CpuMask::single(3),
                                 /*deadline=*/500, "madvise");
     o.setNow(501);
     o.onTlbRemove(3, 100, 7, 0);
@@ -54,7 +57,7 @@ TEST(Staleness, NeverRemovedIsCaughtByAudit)
     StalenessOracle o;
     o.setNow(0);
     o.onTlbInsert(1, 200, 9, 4);
-    o.notePageTableInvalidation(4, 1, 200, 200, CpuMask::single(1),
+    o.notePageTableInvalidation(4, 1, {{200, 9}}, CpuMask::single(1),
                                 /*deadline=*/1000, "munmap");
     o.auditAt(1000); // not yet due
     EXPECT_EQ(o.violations(), 0u);
@@ -70,7 +73,7 @@ TEST(Staleness, FrameReallocWhileMarkedIsAViolation)
     StalenessOracle o;
     o.setNow(0);
     o.onTlbInsert(0, 100, 7, 0);
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 /*deadline=*/500, "munmap");
     o.onFrameAlloc(7);
     EXPECT_EQ(o.violations(), 1u);
@@ -86,10 +89,10 @@ TEST(Staleness, ReMarkKeepsTheEarliestDeadline)
     StalenessOracle o;
     o.setNow(0);
     o.onTlbInsert(0, 100, 7, 0);
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 /*deadline=*/300, "madvise");
     // A later, laxer promise must not stretch the earlier one.
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 /*deadline=*/900, "munmap");
     EXPECT_EQ(o.pendingMarks(), 1u);
     o.setNow(600);
@@ -103,17 +106,51 @@ TEST(Staleness, OnlyMirroredTranslationsGetMarked)
     StalenessOracle o;
     o.setNow(0);
     // Nothing cached anywhere: no promise is owed.
-    o.notePageTableInvalidation(0, 1, 100, 200, CpuMask::firstN(4),
-                                /*deadline=*/500, "munmap");
+    o.notePageTableInvalidation(0, 1, {{100, 7}, {150, 7}, {200, 7}},
+                                CpuMask::firstN(4), /*deadline=*/500,
+                                "munmap");
     EXPECT_EQ(o.pendingMarks(), 0u);
     o.auditAt(10000);
     EXPECT_EQ(o.violations(), 0u);
 
     // Wrong pcid: the cached translation belongs to another context.
     o.onTlbInsert(0, 100, 7, /*pcid=*/3);
-    o.notePageTableInvalidation(/*pcid=*/5, 1, 100, 100,
+    o.notePageTableInvalidation(/*pcid=*/5, 1, {{100, 7}},
                                 CpuMask::single(0), 500, "munmap");
     EXPECT_EQ(o.pendingMarks(), 0u);
+}
+
+TEST(Staleness, OnlyTheChangedTranslationsGetMarked)
+{
+    // Four pages cached; the operation changed two of them, and a
+    // third whose cached entry maps an older frame (another
+    // operation's promise). The oracle probes the changed pages when
+    // they are fewer than the cached entries and scans the cache
+    // otherwise; either way it marks exactly the two, in the changed
+    // pcid only.
+    using Changed = std::vector<std::pair<Vpn, Pfn>>;
+    const Changed few = {{100, 7}, {102, 9}, {103, 99}};
+    Changed many = {{103, 99}, {102, 9}, {100, 7}};
+    for (Vpn vpn = 200; vpn < 264; ++vpn)
+        many.emplace_back(vpn, 7);
+    for (const Changed &changed : {few, many}) {
+        StalenessOracle o;
+        o.setNow(0);
+        for (Vpn vpn : {100, 101, 102, 103})
+            o.onTlbInsert(0, vpn, vpn - 93, 0);
+        o.onTlbInsert(0, 100, 7, /*pcid=*/2);
+        o.notePageTableInvalidation(0, 1, changed, CpuMask::single(0),
+                                    /*deadline=*/500, "madvise");
+        EXPECT_EQ(o.pendingMarks(), 2u);
+        o.setNow(600);
+        o.onTlbRemove(0, 101, 8, 0);
+        o.onTlbRemove(0, 103, 10, 0);
+        o.onTlbRemove(0, 100, 7, 2);
+        EXPECT_EQ(o.violations(), 0u);
+        o.onTlbRemove(0, 100, 7, 0);
+        o.onTlbRemove(0, 102, 9, 0);
+        EXPECT_EQ(o.violations(), 2u);
+    }
 }
 
 TEST(Staleness, ReinsertSupersedesPendingMark)
@@ -121,7 +158,7 @@ TEST(Staleness, ReinsertSupersedesPendingMark)
     StalenessOracle o;
     o.setNow(0);
     o.onTlbInsert(0, 100, 7, 0);
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 /*deadline=*/500, "munmap");
     // The TLB refilled the slot with a fresh translation (new pfn):
     // the old promise is moot.
@@ -137,7 +174,7 @@ TEST(Staleness, ResetClearsEverything)
     StalenessOracle o;
     o.setNow(0);
     o.onTlbInsert(0, 100, 7, 0);
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 100, "munmap");
     o.setNow(200);
     o.onTlbRemove(0, 100, 7, 0);
@@ -154,7 +191,7 @@ TEST(StalenessDeath, StrictModePanicsImmediately)
     StalenessOracle o(/*strict=*/true);
     o.setNow(0);
     o.onTlbInsert(0, 100, 7, 0);
-    o.notePageTableInvalidation(0, 1, 100, 100, CpuMask::single(0),
+    o.notePageTableInvalidation(0, 1, {{100, 7}}, CpuMask::single(0),
                                 100, "munmap");
     o.setNow(200);
     EXPECT_DEATH(o.onTlbRemove(0, 100, 7, 0), "staleness contract");

@@ -16,6 +16,7 @@ class CompactionPolicies : public ::testing::TestWithParam<PolicyKind>
     CompactionPolicies()
         : machine(makeConfig(), GetParam()), kernel(machine.kernel())
     {
+        machine.installStalenessOracle();
         process = kernel.createProcess("app");
         t0 = kernel.spawnTask(process, 0);
         machine.run(kUsec);
@@ -51,6 +52,9 @@ class CompactionPolicies : public ::testing::TestWithParam<PolicyKind>
         machine.run(8 * kMsec); // let lazy reclamation finish
         return keep.addr;
     }
+
+    /** Both checkers clean under every policy. */
+    void TearDown() override { test::expectNoViolations(machine); }
 
     Machine machine;
     Kernel &kernel;
@@ -127,7 +131,7 @@ TEST_P(CompactionPolicies, FrameBalanceIsPreserved)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, CompactionPolicies,
-    ::testing::Values(PolicyKind::LinuxSync, PolicyKind::Latr),
+    ::testing::ValuesIn(test::allPolicies()),
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         return policyKindName(info.param);
     });

@@ -10,6 +10,7 @@
 
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,31 @@ touchRange(Kernel &kernel, Task *task, Addr addr, std::uint64_t len,
     for (std::uint64_t p = 0; p < pages; ++p)
         d += kernel.touch(task, addr + p * kPageSize, write).latency;
     return d;
+}
+
+/** Every policy, in PolicyKind order. */
+inline const std::vector<PolicyKind> &
+allPolicies()
+{
+    static const std::vector<PolicyKind> kinds = {
+        PolicyKind::LinuxSync, PolicyKind::Latr, PolicyKind::Abis,
+        PolicyKind::Barrelfish, PolicyKind::Predictive};
+    return kinds;
+}
+
+/**
+ * Expect both checkers of @p machine clean: the reuse invariant, and
+ * the staleness oracle (which must be installed) audited now.
+ */
+inline void
+expectNoViolations(Machine &machine)
+{
+    EXPECT_EQ(machine.checker()->violations(), 0u)
+        << machine.checker()->firstViolation();
+    StalenessOracle *oracle = machine.staleness();
+    ASSERT_NE(oracle, nullptr);
+    oracle->auditAt(machine.now());
+    EXPECT_EQ(oracle->violations(), 0u) << oracle->firstViolation();
 }
 
 /**

@@ -16,6 +16,7 @@ class ThpPolicies : public ::testing::TestWithParam<PolicyKind>
     ThpPolicies()
         : machine(makeConfig(), GetParam()), kernel(machine.kernel())
     {
+        machine.installStalenessOracle();
         process = kernel.createProcess("thp");
         t0 = kernel.spawnTask(process, 0);
         t1 = kernel.spawnTask(process, 1);
@@ -43,6 +44,9 @@ class ThpPolicies : public ::testing::TestWithParam<PolicyKind>
             kernel.touch(t0, aligned + p * kPageSize, true);
         return aligned;
     }
+
+    /** Both checkers clean under every policy. */
+    void TearDown() override { test::expectNoViolations(machine); }
 
     Machine machine;
     Kernel &kernel;
@@ -169,7 +173,7 @@ TEST_P(ThpPolicies, PromotedRegionFreesLikeAHugePage)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ThpPolicies,
-    ::testing::Values(PolicyKind::LinuxSync, PolicyKind::Latr),
+    ::testing::ValuesIn(test::allPolicies()),
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         return policyKindName(info.param);
     });

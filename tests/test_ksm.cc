@@ -17,6 +17,7 @@ class KsmPolicies : public ::testing::TestWithParam<PolicyKind>
         : machine(test::tinyConfig(), GetParam()),
           kernel(machine.kernel())
     {
+        machine.installStalenessOracle();
         process = kernel.createProcess("app");
         t0 = kernel.spawnTask(process, 0);
         t1 = kernel.spawnTask(process, 1);
@@ -34,6 +35,9 @@ class KsmPolicies : public ::testing::TestWithParam<PolicyKind>
             process->mm().setContentTag(pageOf(m.addr) + p, tag);
         return m.addr;
     }
+
+    /** Both checkers clean under every policy. */
+    void TearDown() override { test::expectNoViolations(machine); }
 
     Machine machine;
     Kernel &kernel;
@@ -156,7 +160,7 @@ TEST_P(KsmPolicies, MergeBatchIsBounded)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, KsmPolicies,
-    ::testing::Values(PolicyKind::LinuxSync, PolicyKind::Latr),
+    ::testing::ValuesIn(test::allPolicies()),
     [](const ::testing::TestParamInfo<PolicyKind> &info) {
         return policyKindName(info.param);
     });

@@ -230,28 +230,64 @@ rejectedOrReplays(const std::string &bytes)
 
 TEST(LatraceMutation, ByteFlipsAreRejectedOrReplay)
 {
-    // Flips land anywhere but the scenario fields (durationTicks,
-    // workers, tenants, serviceCpuNs at bytes 32..55): any value there
-    // is a well-formed request for a longer or larger run, not a
-    // malformed file. Zero workers or tenants have their own test.
+    // Flips land anywhere, the scenario fields (durationTicks,
+    // workers, tenants, serviceCpuNs at bytes 32..55) included: their
+    // bounds cap an accepted mutant's replay. One mutant in four
+    // flips only scenario bytes, which uniform flips would seldom hit.
     const std::string base = latraceSerialize(mutationBase());
     Rng rng(20);
     unsigned parsed = 0;
     for (int m = 0; m < 150; ++m) {
         std::string bytes = base;
         for (std::uint64_t f = rng.nextRange(1, 3); f > 0; --f) {
-            std::size_t at = 32;
-            while (at >= 32 && at < 56)
-                at = rng.nextBounded(bytes.size());
+            const std::size_t at = m % 4 == 0
+                                       ? rng.nextRange(32, 55)
+                                       : rng.nextBounded(bytes.size());
             bytes[at] = static_cast<char>(
                 bytes[at] ^ static_cast<char>(rng.nextRange(1, 255)));
         }
         parsed += rejectedOrReplays(bytes);
     }
-    // Flips in seeds, users, tenants, page counts and reserved bytes
-    // parse; flips in the structure do not.
+    // Flips in seeds, users, tenants, page counts, reserved bytes and
+    // the low bytes of the scenario fields parse; flips in the
+    // structure and the high bytes of the scenario fields do not.
     EXPECT_GT(parsed, 0u);
     EXPECT_LT(parsed, 150u);
+}
+
+TEST(Latrace, RejectsScenarioFieldsBeyondTheirBounds)
+{
+    // Each field parses at its bound and is rejected one past it.
+    auto parses = [](const Latrace &t) {
+        Latrace out;
+        std::string error;
+        const bool ok = latraceParse(latraceSerialize(t), &out, &error);
+        EXPECT_TRUE(ok || error.find("range") != std::string::npos)
+            << error;
+        return ok;
+    };
+    const Latrace base = sampleTrace();
+    ASSERT_TRUE(parses(base));
+    Latrace t = base;
+    t.durationTicks = kLatraceMaxDuration;
+    EXPECT_TRUE(parses(t));
+    ++t.durationTicks;
+    EXPECT_FALSE(parses(t));
+    t = base;
+    t.workers = kLatraceMaxWorkers;
+    EXPECT_TRUE(parses(t));
+    ++t.workers;
+    EXPECT_FALSE(parses(t));
+    t = base;
+    t.tenants = kLatraceMaxTenants;
+    EXPECT_TRUE(parses(t));
+    ++t.tenants;
+    EXPECT_FALSE(parses(t));
+    t = base;
+    t.serviceCpuNs = kLatraceMaxServiceCpu;
+    EXPECT_TRUE(parses(t));
+    ++t.serviceCpuNs;
+    EXPECT_FALSE(parses(t));
 }
 
 TEST(LatraceMutation, TruncationsInsideHeaderAndRecordsAreRejected)

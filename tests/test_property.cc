@@ -1,7 +1,8 @@
 // Property-based tests: randomized multi-core memory-operation soups
 // driven against every policy and seed, with the reuse-invariant
-// checker watching every TLB and allocator transition. These are the
-// tests that would catch an ordering bug in any policy's lazy paths.
+// checker and the staleness oracle watching every TLB and allocator
+// transition. These are the tests that would catch an ordering bug in
+// any policy's lazy paths.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,7 @@ TEST_P(RandomOpSoup, InvariantHoldsAndMemoryBalances)
     MachineConfig cfg = test::tinyConfig();
     cfg.pcidEnabled = param.pcid;
     Machine machine(cfg, param.policy);
+    machine.installStalenessOracle();
     Kernel &kernel = machine.kernel();
     Rng rng(param.seed);
 
@@ -153,8 +155,7 @@ TEST_P(RandomOpSoup, InvariantHoldsAndMemoryBalances)
     machine.run(10 * kMsec);
     repro.ops.push_back(Op{OpKind::Quiesce, 0, 0, 0, 0, false});
 
-    EXPECT_EQ(machine.checker()->violations(), 0u)
-        << machine.checker()->firstViolation();
+    test::expectNoViolations(machine);
     EXPECT_EQ(machine.frames().allocatedFrames(), 0u);
     // Lazy reclamation must have drained completely.
     EXPECT_EQ(pa->mm().heldBackBytes(), 0u);
@@ -183,9 +184,7 @@ std::vector<Soup>
 soups()
 {
     std::vector<Soup> all;
-    for (PolicyKind kind :
-         {PolicyKind::LinuxSync, PolicyKind::Latr, PolicyKind::Abis,
-          PolicyKind::Barrelfish})
+    for (PolicyKind kind : test::allPolicies())
         for (std::uint64_t seed : {11ull, 222ull, 3333ull})
             for (bool pcid : {false, true})
                 all.push_back({kind, seed, pcid});
