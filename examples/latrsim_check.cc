@@ -1,6 +1,6 @@
 // latrsim_check: the conformance-harness front end — fuzz the five
 // TLB-coherence policies against the differential executor and the
-// bounded-staleness oracle, and replay (minimized) failure scripts.
+// coherence checker, and replay (minimized) failure scripts.
 //
 //   latrsim_check --fuzz=1000                  # fuzzing campaign
 //   latrsim_check --fuzz=200 --ops=200         # CI smoke budget
@@ -9,7 +9,7 @@
 //   latrsim_check --fuzz=50 --inject=skip-latr-sweep   # must fail
 //
 // Exit status: 0 when every run is clean and equivalent, 1 on any
-// oracle violation or cross-policy divergence, 2 on usage errors.
+// checker violation or cross-policy divergence, 2 on usage errors.
 
 #include <cstdio>
 #include <limits>
@@ -126,7 +126,7 @@ replay(const Options &opts, const ExecOptions &exec)
 
 /**
  * Print one stable line per (seed, policy): a digest of the final
- * architectural state plus the oracle verdicts. Byte-comparing this
+ * architectural state plus the checker verdicts. Byte-comparing this
  * output between two builds (or between --no-fastpath and the
  * default) proves an engine change simulation-transparent.
  */

@@ -6,7 +6,7 @@
 // page — until that core's next scheduler tick; afterwards the same
 // touch segfaults. Either way the paper's invariant protects the
 // rest of the system: the page is never handed to anyone else while
-// a stale entry could still reach it (the invariant checker verifies
+// a stale entry could still reach it (the coherence checker verifies
 // this live).
 //
 //   $ ./race_semantics

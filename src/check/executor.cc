@@ -130,7 +130,6 @@ runScript(const Script &script, PolicyKind policy,
     result.policy = policy;
 
     Machine machine(executorConfig(script, opt), policy);
-    machine.installStalenessOracle(opt.strict);
     if (opt.trace) {
         machine.trace().setCapacity(1 << 20);
         machine.trace().setEnabled(true);
@@ -173,7 +172,7 @@ runScript(const Script &script, PolicyKind policy,
     // including delivery of any IPIs it launched — before the next
     // op issues. Without this, a later op's staleness deadline could
     // land before an earlier op's still-in-flight invalidations,
-    // and the oracle would report a phantom violation.
+    // and the checker would report a phantom violation.
     auto settle = [&](Duration latency) { machine.run(latency); };
 
     for (const Op &op : script.ops) {
@@ -323,13 +322,13 @@ runScript(const Script &script, PolicyKind policy,
 
     // Implicit final quiesce: settle every lazy path, then audit.
     machine.run(10 * kMsec);
-    if (machine.staleness())
-        machine.staleness()->auditAt(machine.now());
+    CoherenceChecker &checker = *machine.checker();
+    checker.auditAt(machine.now());
 
-    result.invariantViolations = machine.checker()->violations();
-    result.firstInvariant = machine.checker()->firstViolation();
-    result.stalenessViolations = machine.staleness()->violations();
-    result.firstStaleness = machine.staleness()->firstViolation();
+    result.invariantViolations = checker.reuseViolations();
+    result.firstInvariant = checker.firstReuseViolation();
+    result.stalenessViolations = checker.stalenessViolations();
+    result.firstStaleness = checker.firstStalenessViolation();
     result.allocatedFrames = machine.frames().allocatedFrames();
     result.latrFallbackIpis =
         machine.stats().counter("latr.fallback_ipis").value();

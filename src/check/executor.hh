@@ -1,9 +1,10 @@
 /**
  * @file
  * The differential executor: replays one op-script (script.hh) on a
- * fresh simulated machine under a given coherence policy, with the
- * reuse-invariant checker and the bounded-staleness oracle attached,
- * and digests the final architectural state. Replaying the same
+ * fresh simulated machine under a given coherence policy, audits the
+ * machine's coherence checker (the reuse invariant and the
+ * bounded-staleness contract), and digests the final architectural
+ * state. Replaying the same
  * script under all five policies and diffing the digests mechanises
  * the paper's §3 equivalence claim: policies may differ in *when*
  * TLB entries die, never in what the page tables, VMA sets, or the
@@ -30,14 +31,12 @@ struct ExecOptions
     /** Record a Chrome trace of the run (see tracePath). */
     bool trace = false;
     std::string tracePath;
-    /** Panic at the first oracle/invariant violation. */
-    bool strict = false;
-    /** Fault injection: break LATR's sweep (oracle must notice). */
+    /** Fault injection: break LATR's sweep (checker must notice). */
     bool injectSkipLatrSweep = false;
     /**
      * Fault injection: force PredictivePolicy to predict the empty
-     * sharer set on every free. The mirrored-TLB verification must
-     * absorb every miss — runs stay staleness-clean, unlike
+     * sharer set on every free. The verification pass's TLB probes
+     * must absorb every miss — runs stay staleness-clean, unlike
      * injectSkipLatrSweep.
      */
     bool injectMispredictSharers = false;
@@ -50,7 +49,7 @@ struct RunResult
 {
     PolicyKind policy = PolicyKind::LinuxSync;
 
-    /// @name Oracle verdicts
+    /// @name Checker verdicts, per half
     /// @{
     std::uint64_t invariantViolations = 0;
     std::uint64_t stalenessViolations = 0;
@@ -102,7 +101,7 @@ RunResult runScript(const Script &script, PolicyKind policy,
                     const ExecOptions &opt = {});
 
 /**
- * Diff two runs' architectural state (oracle verdicts are judged
+ * Diff two runs' architectural state (checker verdicts are judged
  * separately via clean()).
  */
 DiffResult diffStates(const RunResult &a, const RunResult &b);

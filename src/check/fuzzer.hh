@@ -1,10 +1,10 @@
 /**
  * @file
  * The replayable shrinking fuzzer: generates random op-scripts,
- * replays each under all five policies with both oracles attached,
- * and on any invariant / staleness / differential failure minimizes
- * the script with greedy delta debugging, dumps it (plus seed) to
- * disk, and re-runs the failing policy with src/trace/ capture so
+ * replays each under all five policies with the coherence checker
+ * on, and on any invariant / staleness / differential failure
+ * minimizes the script with greedy delta debugging, dumps it (plus
+ * seed) to disk, and re-runs the failing policy with src/trace/ capture so
  * the failure arrives with a timeline. Everything it writes replays
  * with `latrsim_check --replay`.
  */
@@ -26,7 +26,7 @@ namespace latr
 /**
  * Replay @p script under every policy. @return an empty string when
  * clean and equivalent, else a description of the first failure
- * (oracle violation or cross-policy divergence).
+ * (checker violation or cross-policy divergence).
  */
 std::string checkScript(const Script &script, const ExecOptions &opt);
 

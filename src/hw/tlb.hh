@@ -5,7 +5,7 @@
  * tagged with a PCID, and the usual x86 operations are provided:
  * INVLPG of a single page, a full flush (CR3 write), and PCID-
  * selective flushes. An optional listener observes every insertion
- * and removal, which the invariant checker uses to prove the paper's
+ * and removal, which the coherence checker uses to prove the paper's
  * reuse invariant.
  *
  * Both 4 KiB levels live in one fixed-capacity slot array with one
@@ -33,7 +33,7 @@ namespace latr
 
 class TraceRecorder;
 
-/** Observes TLB content changes (used by the invariant checker). */
+/** Observes TLB content changes (used by the coherence checker). */
 class TlbListener
 {
   public:
@@ -78,19 +78,10 @@ class Tlb
     Tlb(const Tlb &) = delete;
     Tlb &operator=(const Tlb &) = delete;
 
-    /** Attach @p listener as the sole observer (nullptr detaches all). */
-    void
-    setListener(TlbListener *listener)
-    {
-        listeners_.clear();
-        if (listener)
-            listeners_.push_back(listener);
-    }
-
     /**
-     * Attach an additional observer alongside any already present
-     * (the invariant checker and the staleness oracle both mirror
-     * TLB contents).
+     * Attach an observer alongside any already present (a Machine's
+     * coherence checker; a benchmark may count inserts and removes
+     * next to it).
      */
     void
     addListener(TlbListener *listener)

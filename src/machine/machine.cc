@@ -25,10 +25,11 @@ Machine::Machine(MachineConfig config, PolicyKind policy_kind,
     }
 
     if (check_invariants) {
-        checker_ = std::make_unique<InvariantChecker>();
-        frames_.setListener(checker_.get());
+        checker_ = std::make_unique<CoherenceChecker>(queue_);
+        frames_.addListener(checker_.get());
         for (CoreId c = 0; c < topo_.totalCores(); ++c)
-            sched_.tlbOf(c).setListener(checker_.get());
+            checker_->attach(c, sched_.tlbOf(c));
+        kernel_.setChecker(checker_.get());
     }
 
     PolicyEnv env;
@@ -44,20 +45,6 @@ Machine::Machine(MachineConfig config, PolicyKind policy_kind,
         env.llcs.push_back(llc.get());
     policy_ = makePolicy(policy_kind, std::move(env));
     kernel_.setPolicy(policy_.get());
-}
-
-StalenessOracle *
-Machine::installStalenessOracle(bool strict)
-{
-    if (staleness_)
-        return staleness_.get();
-    staleness_ = std::make_unique<StalenessOracle>(strict);
-    staleness_->attachClock(&queue_);
-    frames_.addListener(staleness_.get());
-    for (CoreId c = 0; c < topo_.totalCores(); ++c)
-        sched_.tlbOf(c).addListener(staleness_.get());
-    kernel_.setStalenessOracle(staleness_.get());
-    return staleness_.get();
 }
 
 Machine::~Machine()

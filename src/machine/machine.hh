@@ -3,8 +3,10 @@
  * The Machine: the top-level object a user of this library builds.
  * Wires a MachineConfig into topology, event queue, frame allocator,
  * per-socket LLCs, IPI fabric, scheduler (cores + TLBs), kernel, a
- * TLB-coherence policy, and (optionally) the reuse-invariant
- * checker. See examples/quickstart.cc for the canonical usage.
+ * TLB-coherence policy, and the coherence checker, which holds every
+ * run to the reuse invariant and the policy's staleness contract
+ * unless the caller turns it off. See examples/quickstart.cc for the
+ * canonical usage.
  */
 
 #ifndef LATR_MACHINE_MACHINE_HH_
@@ -13,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "check/staleness.hh"
+#include "check/checker.hh"
 #include "hw/cache.hh"
 #include "hw/ipi.hh"
 #include "mem/frame_allocator.hh"
@@ -21,7 +23,6 @@
 #include "os/scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "tlbcoh/invariant.hh"
 #include "tlbcoh/policy.hh"
 #include "topo/machine_config.hh"
 #include "topo/topology.hh"
@@ -38,8 +39,9 @@ class Machine
      * @param config static machine description (see the presets in
      *        MachineConfig).
      * @param policy_kind which TLB-coherence policy to run.
-     * @param check_invariants mirror TLB/allocator activity in the
-     *        reuse-invariant checker (small overhead; recommended).
+     * @param check_invariants attach the coherence checker to every
+     *        TLB, the frame allocator and the kernel (small overhead;
+     *        recommended).
      */
     Machine(MachineConfig config, PolicyKind policy_kind,
             bool check_invariants = true);
@@ -63,19 +65,14 @@ class Machine
     Kernel &kernel() { return kernel_; }
     TlbCoherencePolicy &policy() { return *policy_; }
     LlcCache &llcOf(NodeId node) { return *llcs_.at(node); }
-    /** nullptr when check_invariants was false. */
-    InvariantChecker *checker() { return checker_.get(); }
-    /** nullptr until installStalenessOracle(). */
-    StalenessOracle *staleness() { return staleness_.get(); }
-    /// @}
-
+    /** The coherence checker; nullptr when check_invariants was false. */
+    CoherenceChecker *checker() { return checker_.get(); }
     /**
-     * Attach the bounded-staleness oracle (src/check/) to every TLB,
-     * the frame allocator, and the kernel. Install before the first
-     * operation — the oracle mirrors TLB contents from empty.
-     * Idempotent; returns the oracle.
+     * Always nullptr: checker() covers the staleness contract too.
+     * Kept for latrbench/probe.cc, which adds both counts.
      */
-    StalenessOracle *installStalenessOracle(bool strict = false);
+    CoherenceChecker *staleness() { return nullptr; }
+    /// @}
 
     /** Current simulated time. */
     Tick now() const { return queue_.now(); }
@@ -103,8 +100,7 @@ class Machine
     IpiFabric ipi_;
     Scheduler sched_;
     Kernel kernel_;
-    std::unique_ptr<InvariantChecker> checker_;
-    std::unique_ptr<StalenessOracle> staleness_;
+    std::unique_ptr<CoherenceChecker> checker_;
     std::unique_ptr<TlbCoherencePolicy> policy_;
 };
 

@@ -170,7 +170,7 @@ FrameAllocator::putHuge(Pfn base)
     if (base % kHugePageSpan != 0)
         panic("putHuge on unaligned frame %llu",
               static_cast<unsigned long long>(base));
-    // Base frame first: the invariant checker keys huge TLB entries
+    // Base frame first: the coherence checker keys huge TLB entries
     // by the base frame, so a premature release is caught there.
     for (Pfn f = base; f < base + kHugePageSpan; ++f)
         put(f);

@@ -5,7 +5,7 @@
  * LATR's lazy reclamation leans on the refcount: unmapped pages keep
  * a nonzero count until the background pass drops it, which is what
  * prevents premature reuse (paper section 4.2). A listener observes
- * allocation and final release so the invariant checker can prove no
+ * allocation and final release so the coherence checker can prove no
  * frame is recycled while a TLB still maps it.
  */
 
@@ -21,7 +21,7 @@
 namespace latr
 {
 
-/** Observes frame lifecycle (used by the invariant checker). */
+/** Observes frame lifecycle (used by the coherence checker). */
 class FrameListener
 {
   public:
@@ -50,16 +50,10 @@ class FrameAllocator
     FrameAllocator(const FrameAllocator &) = delete;
     FrameAllocator &operator=(const FrameAllocator &) = delete;
 
-    /** Attach @p listener as the sole observer (nullptr detaches all). */
-    void
-    setListener(FrameListener *listener)
-    {
-        listeners_.clear();
-        if (listener)
-            listeners_.push_back(listener);
-    }
-
-    /** Attach an additional observer alongside any already present. */
+    /**
+     * Attach an observer alongside any already present (a Machine's
+     * coherence checker; a benchmark may count next to it).
+     */
     void
     addListener(FrameListener *listener)
     {

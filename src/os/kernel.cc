@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "check/staleness.hh"
+#include "check/checker.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
@@ -156,17 +156,13 @@ Kernel::traceSyscall(const char *name, Tick begin,
 
 void
 Kernel::noteInvalidation(AddressSpace &mm,
-                         std::vector<std::pair<Vpn, Pfn>> changed,
+                         std::span<const std::pair<Vpn, Pfn>> changed,
                          Tick done, const char *op, bool lazy)
 {
-    // Looked up only for the oracle: PredictivePolicy derives its
-    // contract from the topology on every call.
     const Tick deadline =
         lazy ? done + policy_->stalenessContract().epochBound : done;
-    staleness_->notePageTableInvalidation(mm.pcid(), mm.id(),
-                                          std::move(changed),
-                                          mm.residencyMask(), deadline,
-                                          op);
+    checker_->noteInvalidation(mm.pcid(), mm.id(), changed,
+                               mm.residencyMask(), deadline, op);
 }
 
 Duration
@@ -351,8 +347,8 @@ Kernel::freePages(FreeOpContext ctx, Tick start, const char *op)
     const Duration pol = policy_->onFreePages(std::move(ctx), start);
     for (const auto &page : freed)
         mm.clearSharers(page.first);
-    if (staleness_)
-        noteInvalidation(mm, std::move(freed), start + pol, op, true);
+    if (checker_)
+        noteInvalidation(mm, freed, start + pol, op, true);
     return pol;
 }
 
@@ -367,8 +363,10 @@ Kernel::syncInvalidate(AddressSpace &mm, CoreId core, Vpn s, Vpn e,
                                                    npages, start + local);
     // Every remote invalidation lands before the last ACK.
     const Tick acked = start + local + wait;
-    if (staleness_)
-        noteInvalidation(mm, changed.entries(), acked, op, false);
+    if (checker_) {
+        noteInvalidation(mm, changed.pages, acked, op, false);
+        noteInvalidation(mm, changed.hugePages, acked, op, false);
+    }
     if (release)
         policy_->releaseAt(acked + copy, &mm, std::move(changed));
     return local + wait;
@@ -434,9 +432,20 @@ Kernel::mremap(Task *task, Addr old_addr, std::uint64_t old_len,
     const Duration pt_work =
         config_.cost.vmaPerPage * moved.spanned +
         config_.cost.pteMapPerPage * moved.pages.size();
+    // A shrink drops the pages past the new size: their frames are
+    // released once the shootdown has killed every old translation.
+    FreedFrames dropped;
+    const Vpn kept_end =
+        pageOf(pageAlignDown(old_addr)) + pageOf(pageAlignUp(new_len));
+    for (const auto &page : moved.pages)
+        if (page.first >= kept_end)
+            dropped.pages.push_back(page);
+    const Tick now = queue_.now();
     SyscallResult res = syncSyscall(task, old_addr, old_len,
                                     std::move(moved), pt_work,
                                     mremapCtr_, "sys.mremap", "mremap");
+    policy_->releaseAt(now + res.latency, &task->mm(),
+                       std::move(dropped));
     res.addr = new_addr; // kAddrInvalid when the remap failed
     return res;
 }
@@ -553,12 +562,11 @@ Kernel::numaSample(Task *task, Vpn vpn)
     // Mirror the policies' raced-with-unmap guard: a sample that
     // finds no PTE invalidates nothing, so nothing is promised.
     const Pte *pte = mm.pageTable().find(vpn);
-    const Pfn pfn = pte ? pte->pfn : kPfnInvalid;
+    const std::pair<Vpn, Pfn> page{vpn, pte ? pte->pfn : kPfnInvalid};
     const Duration pol =
         policy_->onNumaSample(&mm, task->core(), vpn, now);
-    if (pte && staleness_)
-        noteInvalidation(mm, {{vpn, pfn}}, now + pol, "numa_sample",
-                         true);
+    if (pte && checker_)
+        noteInvalidation(mm, {&page, 1}, now + pol, "numa_sample", true);
     return pol;
 }
 

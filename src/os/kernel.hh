@@ -14,6 +14,7 @@
 #define LATR_OS_KERNEL_HH_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@
 namespace latr
 {
 
-class StalenessOracle;
+class CoherenceChecker;
 class TraceRecorder;
 
 /** Result of a simulated system call. */
@@ -65,14 +66,12 @@ class Kernel
     void setTracer(TraceRecorder *trace) { trace_ = trace; }
 
     /**
-     * Attach the bounded-staleness oracle (src/check/): every
-     * page-table-invalidating call reports its range and contract
-     * deadline. nullptr (the default) costs nothing.
+     * Attach the coherence checker (src/check/): every call that
+     * changes translations reports the (vpn, pfn) pairs it changed
+     * and their contract deadline. nullptr (the default) costs
+     * nothing.
      */
-    void setStalenessOracle(StalenessOracle *oracle)
-    {
-        staleness_ = oracle;
-    }
+    void setChecker(CoherenceChecker *checker) { checker_ = checker; }
 
     TraceRecorder *tracer() const { return trace_; }
 
@@ -182,7 +181,7 @@ class Kernel
      * The path of every free a policy may finish lazily (munmap,
      * madvise, KSM's duplicate frame): hand it to the policy, then
      * forget the freed pages' sharer info (ABIS and Predictive read
-     * it first) and mark the pages for the staleness oracle as @p op.
+     * it first) and mark the pages for the checker as @p op.
      */
     Duration freePages(FreeOpContext ctx, Tick start, const char *op);
 
@@ -192,7 +191,7 @@ class Kernel
      * migration, KSM's write-protects, THP collapse). The caller has
      * edited the entries of @p changed, in [s, e]. From @p start,
      * invalidate [s, e] on @p core, shoot down the other resident
-     * cores, and mark @p changed for the oracle as @p op, due by the
+     * cores, and mark @p changed for the checker as @p op, due by the
      * last ACK. With @p release, the change replaced the frames of
      * @p changed (or the caller's references to them): they are
      * released @p copy after the last ACK.
@@ -240,7 +239,7 @@ class Kernel
      * the pages of [addr, addr + len) whose entries the call already
      * changed, at a page-table cost of vmaFixed + @p pt_work, then
      * syncInvalidate(), all under mmap_sem held for write. Counted and
-     * traced as @p counter, reported to the staleness oracle as @p op.
+     * traced as @p counter, reported to the checker as @p op.
      */
     SyscallResult syncSyscall(Task *task, Addr addr, std::uint64_t len,
                               UnmapResult ur, Duration pt_work,
@@ -262,15 +261,15 @@ class Kernel
                       std::uint64_t npages);
 
     /**
-     * Tell the attached staleness oracle that every TLB copy of the
-     * @p changed translations must be gone by @p done, plus the
-     * policy's contract epoch bound when @p lazy (free ops and NUMA
-     * samples, which a lazy policy may finish after the call
-     * returns). Called after the policy call, so translations the
-     * policy already killed synchronously are exempt.
+     * Tell the attached checker that every TLB copy of the @p changed
+     * translations must be gone by @p done, plus the policy's
+     * contract epoch bound when @p lazy (free ops and NUMA samples,
+     * which a lazy policy may finish after the call returns). Called
+     * after the policy call, so translations the policy already
+     * killed synchronously are exempt.
      */
     void noteInvalidation(AddressSpace &mm,
-                          std::vector<std::pair<Vpn, Pfn>> changed,
+                          std::span<const std::pair<Vpn, Pfn>> changed,
                           Tick done, const char *op, bool lazy);
 
     EventQueue &queue_;
@@ -281,7 +280,7 @@ class Kernel
     StatRegistry &stats_;
     TlbCoherencePolicy *policy_ = nullptr;
     TraceRecorder *trace_ = nullptr;
-    StalenessOracle *staleness_ = nullptr;
+    CoherenceChecker *checker_ = nullptr;
 
     std::function<Duration(Vpn, CoreId)> numaFaultHook_;
 

@@ -11,8 +11,8 @@
  *  - LatrPolicy: the paper's lazy mechanism;
  *  - AbisPolicy: access-bit sharing tracking (state of the art);
  *  - BarrelfishPolicy: synchronous message passing;
- *  - PredictivePolicy: hashed-perceptron sharer prediction with
- *    oracle-verified full-mask fallback.
+ *  - PredictivePolicy: hashed-perceptron sharer prediction with a
+ *    TLB-probe-verified full-mask fallback.
  */
 
 #ifndef LATR_TLBCOH_POLICY_HH_
@@ -98,7 +98,7 @@ struct FreeOpContext
  * the longest a remote TLB entry may outlive its page-table mapping
  * once the triggering kernel operation has returned. Synchronous
  * policies promise zero; LATR promises one scheduler epoch. The
- * staleness oracle in src/check/ enforces this bound at runtime.
+ * coherence checker in src/check/ enforces this bound at runtime.
  */
 struct StalenessContract
 {
@@ -108,7 +108,7 @@ struct StalenessContract
      * is synchronous: coherence is reached before the op returns.
      */
     Duration epochBound = 0;
-    /** Why the bound holds — quoted in oracle violation reports. */
+    /** Why the bound holds. */
     const char *rationale = "synchronous shootdown before op returns";
 };
 

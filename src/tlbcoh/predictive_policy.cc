@@ -55,7 +55,7 @@ PredictivePolicy::stalenessContract() const
     // mirrors LatrPolicy's allowance for event-processing skew.
     return StalenessContract{
         cost().tickInterval + 5 * kUsec + fallbackRoundTripBound(),
-        "predicted shootdowns are verified against mirrored TLBs "
+        "predicted shootdowns are verified by TLB probes "
         "within one scheduler epoch; stale hits die in one full-mask "
         "fallback round-trip"};
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Predictive TLB coherence: send shootdown IPIs only to *predicted*
- * sharers and let the mirrored-TLB machinery (the same probes the
- * staleness oracle relies on) catch mispredictions.
+ * sharers and let TLB probes (Tlb::probePfn, the probes the coherence
+ * checker marks stale translations with) catch mispredictions.
  *
  * A free operation snapshots its candidate set (the mm's residency
  * mask minus the initiator), asks the hashed-perceptron

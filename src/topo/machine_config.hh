@@ -83,21 +83,21 @@ struct MachineConfig
     bool latrScratchpad = false;
     /// @}
 
-    /// @name Fault injection (testing the checkers, never production)
+    /// @name Fault injection (testing the checker, never production)
     /// @{
     /**
      * Deliberately break LATR: skip the per-core sweep at scheduler
      * ticks and context switches, so remote TLB entries outlive the
      * one-epoch staleness bound. Exists solely so tests can prove
-     * the staleness oracle (src/check/) catches a broken policy.
+     * the coherence checker (src/check/) catches a broken policy.
      */
     bool injectSkipLatrSweep = false;
     /**
      * Deliberately wreck PredictivePolicy's sharer prediction: every
      * free operation predicts the *empty* sharer set, so every true
      * sharer is missed. Unlike injectSkipLatrSweep this must NOT
-     * trip the staleness oracle — the mirrored-TLB verification pass
-     * catches each miss and the full-mask fallback restores
+     * trip the coherence checker — the verification pass's TLB probes
+     * catch each miss and the full-mask fallback restores
      * coherence within the contract. Tests use it to prove that
      * correctness never depends on prediction accuracy.
      */

@@ -1,5 +1,7 @@
 #include "topo/topology.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace latr
@@ -13,6 +15,11 @@ NumaTopology::NumaTopology(unsigned sockets, unsigned cores_per_socket)
     if (totalCores() > CpuMask::kMaxCores)
         fatal("topology with %u cores exceeds the %u-core CpuMask limit",
               totalCores(), CpuMask::kMaxCores);
+    // Computed once: PredictivePolicy's staleness contract reads it
+    // on every lazy operation the kernel reports to the checker.
+    for (NodeId a = 0; a < sockets_; ++a)
+        for (NodeId b = 0; b < sockets_; ++b)
+            maxHops_ = std::max(maxHops_, socketHops(a, b));
 }
 
 NodeId
@@ -48,16 +55,6 @@ unsigned
 NumaTopology::hops(CoreId a, CoreId b) const
 {
     return socketHops(nodeOf(a), nodeOf(b));
-}
-
-unsigned
-NumaTopology::maxHops() const
-{
-    unsigned m = 0;
-    for (NodeId a = 0; a < sockets_; ++a)
-        for (NodeId b = 0; b < sockets_; ++b)
-            m = std::max(m, socketHops(a, b));
-    return m;
 }
 
 } // namespace latr

@@ -49,11 +49,12 @@ class NumaTopology
     unsigned hops(CoreId a, CoreId b) const;
 
     /** Largest hop count between any two cores. */
-    unsigned maxHops() const;
+    unsigned maxHops() const { return maxHops_; }
 
   private:
     unsigned sockets_;
     unsigned coresPerSocket_;
+    unsigned maxHops_ = 0;
 };
 
 } // namespace latr

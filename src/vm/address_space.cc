@@ -296,8 +296,8 @@ AddressSpace::mremapRegion(Addr old_addr, std::uint64_t old_len,
             pt_.map(pageOf(new_base) + offset, old.pfn,
                     static_cast<std::uint8_t>(old.flags & ~kPtePresent));
         } else {
-            // Shrunk away: the frame is released by the caller via
-            // the moved-pages list, exactly like an unmap.
+            // Shrunk away: Kernel::mremap releases the frame, found
+            // in the moved-pages list, after the shootdown.
         }
     }
 

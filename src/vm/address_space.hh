@@ -203,7 +203,9 @@ class AddressSpace
      * Move a mapping to a new range of @p new_len bytes. Present
      * pages are remapped (same frames, new addresses).
      * @param moved_out receives the old (vpn, pfn) pairs, which
-     *        need a synchronous shootdown.
+     *        need a synchronous shootdown. Pages at or past
+     *        @p new_len are unmapped, and their frames are the
+     *        caller's to release.
      * @return the new base address or kAddrInvalid.
      */
     Addr mremapRegion(Addr old_addr, std::uint64_t old_len,

@@ -1,13 +1,14 @@
 /**
  * @file
- * FlatPageMap: an open-addressing Vpn-keyed hash map in the style of
+ * FlatPageMap: an open-addressing page-keyed hash map in the style of
  * the TLB's slot array (hw/tlb.cc) — linear probing at most 50% load
  * with backward-shift deletion, so lookups walk short, contiguous,
  * cache-resident probe chains and no tombstones accumulate. Replaces
  * std::unordered_map for the per-page bookkeeping AddressSpace keeps
- * (ABIS sharer masks, KSM content tags): those maps are consulted
- * once per unmapped page on every munmap, and the node-per-entry
- * layout of unordered_map made each consult a dependent cache miss.
+ * (ABIS sharer masks, KSM content tags) and the coherence checker's
+ * per-frame counts and marks: those maps are consulted once per
+ * unmapped page or TLB fill, and the node-per-entry layout of
+ * unordered_map made each consult a dependent cache miss.
  */
 
 #ifndef LATR_VM_FLAT_PAGE_MAP_HH_
@@ -22,9 +23,10 @@ namespace latr
 {
 
 /**
- * Open-addressing map from Vpn to @p V. @p V must be cheaply
- * default-constructible and movable; a default-constructed V is the
- * "absent" value semantically (find() returns nullptr instead).
+ * Open-addressing map from a page number (Vpn or Pfn) to @p V. @p V
+ * must be cheaply default-constructible and movable; a
+ * default-constructed V is the "absent" value semantically (find()
+ * returns nullptr instead).
  */
 template <typename V>
 class FlatPageMap
@@ -58,13 +60,21 @@ class FlatPageMap
     V &
     operator[](Vpn key)
     {
-        if (slots_.empty() || (size_ + 1) * 2 > slots_.size())
+        if (slots_.empty())
             grow();
         std::size_t i = hashOf(key) & mask_;
         while (slots_[i].key != kEmptyKey) {
             if (slots_[i].key == key)
                 return slots_[i].value;
             i = (i + 1) & mask_;
+        }
+        // Only an insertion may grow the table: a present key is
+        // found in one probe sequence whatever the load.
+        if ((size_ + 1) * 2 > slots_.size()) {
+            grow();
+            i = hashOf(key) & mask_;
+            while (slots_[i].key != kEmptyKey)
+                i = (i + 1) & mask_;
         }
         slots_[i].key = key;
         ++size_;
@@ -108,10 +118,21 @@ class FlatPageMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /** Call @p fn(key, value) on every entry, in slot order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Slot &s : slots_)
+            if (s.key != kEmptyKey)
+                fn(s.key, s.value);
+    }
+
   private:
     /**
      * Key sentinel for an empty slot. Safe: a real Vpn is below
-     * kUserVaLimit >> kPageShift (~2^35), nowhere near ~0.
+     * kUserVaLimit >> kPageShift (~2^35), and a Pfn below the frame
+     * count, nowhere near ~0.
      */
     static constexpr Vpn kEmptyKey = ~0ULL;
 

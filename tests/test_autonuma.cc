@@ -19,7 +19,6 @@ class AutoNumaPolicies : public ::testing::TestWithParam<PolicyKind>
         : machine(test::tinyConfig(), GetParam()),
           kernel(machine.kernel())
     {
-        machine.installStalenessOracle();
         process = kernel.createProcess("app");
         // t0 on node 0, t4 on node 1.
         t0 = kernel.spawnTask(process, 0);

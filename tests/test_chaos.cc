@@ -6,8 +6,9 @@
 // above the middle of node 0 (compaction), one content tag across
 // both processes (KSM, and a write after the merge that copies the
 // merged page), a fully touched 2 MiB-aligned base-page region
-// (khugepaged). The reuse-invariant checker and the staleness oracle
-// arbitrate; the test also asserts that every daemon acted.
+// (khugepaged). The coherence checker's two halves, the reuse
+// invariant and the staleness contract, arbitrate; the test also
+// asserts that every daemon acted.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +44,6 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
     MachineConfig cfg = test::tinyConfig();
     cfg.framesPerNode = 16 * 1024;
     Machine machine(cfg, param.policy);
-    machine.installStalenessOracle();
     Kernel &kernel = machine.kernel();
     Rng rng(param.seed);
 

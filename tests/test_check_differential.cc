@@ -1,8 +1,8 @@
 // Tests for the differential executor and the shrinking fuzzer: a
 // generated script must be clean and equivalent under all four
 // policies, a deliberately broken policy must be caught by the
-// staleness oracle and minimized, and the minimizer must be greedy
-// delta debugging rather than wishful thinking.
+// checker's staleness half and minimized, and the minimizer must be
+// greedy delta debugging rather than wishful thinking.
 
 #include <gtest/gtest.h>
 

@@ -16,7 +16,6 @@ class CompactionPolicies : public ::testing::TestWithParam<PolicyKind>
     CompactionPolicies()
         : machine(makeConfig(), GetParam()), kernel(machine.kernel())
     {
-        machine.installStalenessOracle();
         process = kernel.createProcess("app");
         t0 = kernel.spawnTask(process, 0);
         machine.run(kUsec);

@@ -2,7 +2,7 @@
  * @file
  * The fast engine paths (tick wheel, sweep-elision mask — everything
  * MachineConfig::noFastpath turns off) must be invisible to the
- * simulation: same digests, same oracle verdicts, same counters that
+ * simulation: same digests, same checker verdicts, same counters that
  * the naive paths produce. These tests replay generated scripts on
  * the 120-core topology — where every CpuMask word boundary and
  * wheel slot is exercised — once per engine mode and diff the runs.
@@ -36,7 +36,7 @@ largeScript(std::uint64_t seed, bool pcid)
 /**
  * A dozen seeds x 4 policies on the 8-socket/120-core machine: the
  * naive and fast engines must agree on every architectural digest
- * and every oracle verdict.
+ * and every checker verdict.
  */
 TEST(FastpathEquivalence, LargeMachineDigestsMatchNaive)
 {

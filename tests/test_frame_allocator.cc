@@ -108,7 +108,7 @@ TEST(FrameAllocator, ListenerSeesLifecycle)
 {
     FrameAllocator fa(1, 10);
     CountingListener listener;
-    fa.setListener(&listener);
+    fa.addListener(&listener);
     Pfn a = fa.alloc(0);
     fa.get(a);
     fa.put(a); // refcount 1: no free event
@@ -319,7 +319,7 @@ TEST_P(AllocatorMatchesReference, SeededOperationMixes)
         FrameAllocator fa(nodes, per_node);
         ReferenceAllocator ref(nodes, per_node);
         LoggingListener listener;
-        fa.setListener(&listener);
+        fa.addListener(&listener);
         Rng rng(seed);
         std::vector<Pfn> refs; // one entry per reference on a base frame
         std::vector<Pfn> huge; // huge runs held whole

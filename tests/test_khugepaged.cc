@@ -16,7 +16,6 @@ class ThpPolicies : public ::testing::TestWithParam<PolicyKind>
     ThpPolicies()
         : machine(makeConfig(), GetParam()), kernel(machine.kernel())
     {
-        machine.installStalenessOracle();
         process = kernel.createProcess("thp");
         t0 = kernel.spawnTask(process, 0);
         t1 = kernel.spawnTask(process, 1);

@@ -17,7 +17,6 @@ class KsmPolicies : public ::testing::TestWithParam<PolicyKind>
         : machine(test::tinyConfig(), GetParam()),
           kernel(machine.kernel())
     {
-        machine.installStalenessOracle();
         process = kernel.createProcess("app");
         t0 = kernel.spawnTask(process, 0);
         t1 = kernel.spawnTask(process, 1);

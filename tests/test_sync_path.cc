@@ -174,5 +174,29 @@ TEST(SyncPath, MprotectEmitsOneSyncShootdownSpanUnderEveryPolicy)
     }
 }
 
+TEST(SyncPath, MremapShrinkReleasesDroppedFramesUnderEveryPolicy)
+{
+    // Shrinking 4 pages to 1 drops 3 mapped pages: their frames go
+    // back to the allocator at the shootdown's last ACK, and the
+    // remaining one with the munmap.
+    for (PolicyKind kind : test::allPolicies()) {
+        Rig rig(kind);
+        const std::uint64_t start =
+            rig.machine.frames().allocatedFrames();
+        SyscallResult m = rig.kernel.mmap(rig.t0, 4 * kPageSize,
+                                          kProtRead | kProtWrite);
+        for (Task *t : {rig.t0, rig.t1, rig.t4})
+            test::touchRange(rig.kernel, t, m.addr, 4 * kPageSize);
+        SyscallResult r =
+            rig.kernel.mremap(rig.t0, m.addr, 4 * kPageSize, kPageSize);
+        ASSERT_TRUE(r.ok) << policyKindName(kind);
+        rig.kernel.munmap(rig.t0, r.addr, kPageSize);
+        rig.machine.run(20 * kMsec);
+        EXPECT_EQ(rig.machine.frames().allocatedFrames(), start)
+            << policyKindName(kind);
+        test::expectNoViolations(rig.machine);
+    }
+}
+
 } // namespace
 } // namespace latr

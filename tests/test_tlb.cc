@@ -210,7 +210,7 @@ TEST(Tlb, ListenerSeesNetMembershipChanges)
 {
     Tlb tlb(0, 2, 2);
     MirrorListener listener;
-    tlb.setListener(&listener);
+    tlb.addListener(&listener);
 
     tlb.insert(1, 101, 0);
     tlb.insert(2, 102, 0);
@@ -231,7 +231,7 @@ TEST(Tlb, ListenerSeesRemapAsRemovePlusInsert)
 {
     Tlb tlb(0, 4, 4);
     MirrorListener listener;
-    tlb.setListener(&listener);
+    tlb.addListener(&listener);
     tlb.insert(1, 101, 0);
     tlb.insert(1, 999, 0); // same vpn, new frame
     EXPECT_EQ(listener.inserts, 2);
@@ -246,7 +246,7 @@ TEST(Tlb, ReinsertSameTranslationIsQuietForListener)
 {
     Tlb tlb(0, 4, 4);
     MirrorListener listener;
-    tlb.setListener(&listener);
+    tlb.addListener(&listener);
     tlb.insert(1, 101, 0);
     tlb.insert(1, 101, 0); // identical
     EXPECT_EQ(listener.inserts, 1);
@@ -258,7 +258,7 @@ TEST(Tlb, FlushNotifiesEveryEntry)
 {
     Tlb tlb(0, 4, 4);
     MirrorListener listener;
-    tlb.setListener(&listener);
+    tlb.addListener(&listener);
     for (Vpn v = 0; v < 4; ++v)
         tlb.insert(v, v, 0);
     tlb.flushAll();
@@ -273,7 +273,7 @@ TEST(TlbGolden, EvictionCascadeL1ToL2ToGone)
 {
     Tlb tlb(0, 2, 2);
     MirrorListener listener;
-    tlb.setListener(&listener);
+    tlb.addListener(&listener);
     // 1,2 fill L1; 3,4 spill 1,2 into L2; 5 spills 3, whose arrival
     // evicts the L2 LRU (vpn 1) out of the TLB entirely.
     for (Vpn v = 1; v <= 5; ++v)
@@ -440,8 +440,8 @@ TEST(TlbGolden, FlushThenRefillMatchesFreshTlb)
         Tlb fresh(0, 64, 1024, 32);
         LogListener flushed_log;
         LogListener fresh_log;
-        flushed.setListener(&flushed_log);
-        fresh.setListener(&fresh_log);
+        flushed.addListener(&flushed_log);
+        fresh.addListener(&fresh_log);
         EXPECT_EQ(refill(flushed), refill(fresh)) << prefill;
         EXPECT_EQ(flushed_log.log, fresh_log.log) << prefill;
         EXPECT_EQ(flushed.size(), fresh.size()) << prefill;
@@ -762,7 +762,7 @@ TEST_P(TlbMatchesReference, SeededOpMixes)
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         Tlb tlb(0, l1, l2, huge);
         LogListener got;
-        tlb.setListener(&got);
+        tlb.addListener(&got);
         ReferenceTlb ref(l1, l2, huge);
         Rng rng(seed * 1000 + capacity);
         auto regionBase = [&] {
