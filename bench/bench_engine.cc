@@ -30,10 +30,8 @@
 // from run to run. `--check-against=BASELINE.json` exits nonzero if
 // any machine scenario regresses more than --max-regression (default
 // 0.30) below the baseline, and complains loudly when a baseline
-// scenario is missing from the run — the CI perf-smoke gate.
-// `--no-fastpath` runs the machine scenarios on the naive engine
-// paths, quantifying what the fast paths buy. Any other argument
-// exits 2 before anything runs.
+// scenario is missing from the run — the CI perf-smoke gate. Any
+// other argument exits 2 before anything runs.
 
 #include <chrono>
 #include <cstdio>
@@ -216,7 +214,7 @@ runTlbChurn(TlbChurnCounters &counts)
 }
 
 ScenarioResult
-runMunmapStorm(bool no_fastpath)
+runMunmapStorm()
 {
     std::uint64_t events = 0;
     double wall = 0;
@@ -224,7 +222,6 @@ runMunmapStorm(bool no_fastpath)
     for (PolicyKind policy :
          {PolicyKind::LinuxSync, PolicyKind::Latr}) {
         MachineConfig config = MachineConfig::commodity2S16C();
-        config.noFastpath = no_fastpath;
         // The microbenchmark spawns its tasks inside the timed call,
         // so set-up here is the machine's construction alone.
         const auto built = std::chrono::steady_clock::now();
@@ -256,8 +253,7 @@ runMunmapStorm(bool no_fastpath)
  * context switches sweep twice per millisecond and match *nothing*:
  * exactly the scans the sweep-elision mask removes. Every eighth
  * iteration a sync munmap from a global task IPIs the whole 100-core
- * residency mask (the word-at-a-time fan-out path). The simulated
- * result must not change either way.
+ * residency mask (the word-at-a-time fan-out path).
  *
  * The scenario now also runs under the Predictive policy: the same
  * wide residency masks are the sharer-prediction target — after a
@@ -267,7 +263,7 @@ runMunmapStorm(bool no_fastpath)
  * >= 40%-fewer-IPIs gate in main().
  */
 ScenarioResult
-runBigMachine(bool no_fastpath, BigMachineCounters &counters)
+runBigMachine(BigMachineCounters &counters)
 {
     constexpr unsigned kPublishers = 20;
     constexpr unsigned kIterations = 400;
@@ -281,7 +277,6 @@ runBigMachine(bool no_fastpath, BigMachineCounters &counters)
     for (PolicyKind policy : {PolicyKind::Latr, PolicyKind::Abis,
                               PolicyKind::Predictive}) {
         MachineConfig config = MachineConfig::largeNuma8S120C();
-        config.noFastpath = no_fastpath;
         // Tagged TLBs: context switches on the oversubscribed cores
         // must not flush residency, or the global mm's mask (and the
         // wide shootdown) degenerates.
@@ -392,9 +387,8 @@ main(int argc, char **argv)
 {
     std::string json_path;
     bench::GateOptions gate;
-    bool noFastpath = false;
     Args args;
-    args.text("--json", &json_path).flag("--no-fastpath", &noFastpath);
+    args.text("--json", &json_path);
     gate.declare(args);
     args.parse(argc, argv);
 
@@ -409,8 +403,7 @@ main(int argc, char **argv)
     bench::rule();
 
     bench::JsonWriter json("Engine", "simulation-engine throughput");
-    json.config("no_fastpath", std::uint64_t{noFastpath ? 1u : 0u})
-        .config("host_cpus",
+    json.config("host_cpus",
                 std::uint64_t{std::thread::hardware_concurrency()})
         .config("jobs", std::uint64_t{1});
 
@@ -419,8 +412,8 @@ main(int argc, char **argv)
     TlbChurnCounters churn;
     results.push_back(runEventChurn());
     results.push_back(runTlbChurn(churn));
-    results.push_back(runMunmapStorm(noFastpath));
-    results.push_back(runBigMachine(noFastpath, big));
+    results.push_back(runMunmapStorm());
+    results.push_back(runBigMachine(big));
 
     double stormEps = 0;
     double bigEps = 0;

@@ -121,17 +121,17 @@ cannotWrite(const char *what, const std::string &path)
  *     "experiment": "Figure 6",
  *     "description": "...",
  *     "headline": "...",
- *     "config": {"jobs": 4, "no_fastpath": 0, ...},
+ *     "config": {"jobs": 4, "host_cpus": 4, ...},
  *     "rows": [ {"cores": 16, "linux_us": 7.9, ...}, ... ]
  *   }
  *
  * The config object records the host-side knobs the bench ran with
- * (parallel jobs, fast-path switches, host CPUs) so a
- * BENCH_*.json is self-describing: two files can only be compared
- * when their configs match. Every document also records the git
- * commit it was built from and the baseline file it was gated
- * against (see baselineFile()) — the two provenance fields that
- * turn a stray BENCH_*.json back into a reproducible data point.
+ * (parallel jobs, host CPUs) so a BENCH_*.json is self-describing:
+ * two files can only be compared when their configs match. Every
+ * document also records the git commit it was built from and the
+ * baseline file it was gated against (see baselineFile()) — the two
+ * provenance fields that turn a stray BENCH_*.json back into a
+ * reproducible data point.
  */
 class JsonWriter
 {

@@ -37,7 +37,6 @@ struct Options
     /** Unset = alternate (fuzz) / the script header's (replay). */
     std::optional<bool> pcid;
     std::string machine = "small";
-    bool noFastpath = false;
     std::string outDir = ".";
     std::string tracePath;
     std::string inject;
@@ -60,8 +59,6 @@ usage(const char *argv0)
         "  --pcid=0|1        force PCIDs off/on (default: alternate)\n"
         "  --machine=small|large  topology for generated scripts:\n"
         "                    the 2x4 default or 8x15 (120 cores)\n"
-        "  --no-fastpath     force the naive engine paths (tick\n"
-        "                    wheel / sweep elision off)\n"
         "  --digest=N        print a stable per-(seed,policy) state\n"
         "                    digest for N generated scripts; diff the\n"
         "                    output across builds to prove a change\n"
@@ -127,8 +124,8 @@ replay(const Options &opts, const ExecOptions &exec)
 /**
  * Print one stable line per (seed, policy): a digest of the final
  * architectural state plus the checker verdicts. Byte-comparing this
- * output between two builds (or between --no-fastpath and the
- * default) proves an engine change simulation-transparent.
+ * output between two builds proves an engine change
+ * simulation-transparent; tests/golden/latrsim_check/ pins two runs.
  */
 int
 digest(const Options &opts, const ExecOptions &exec)
@@ -249,7 +246,6 @@ main(int argc, char **argv)
         .number("--ops", &opts.ops, 0, kMaxUnsigned)
         .number("--pcid", &pcid, 0, 1)
         .choice("--machine", &opts.machine, {"small", "large"})
-        .flag("--no-fastpath", &opts.noFastpath)
         .text("--out", &opts.outDir)
         .text("--trace", &opts.tracePath)
         .choice("--inject", &opts.inject,
@@ -268,7 +264,6 @@ main(int argc, char **argv)
     }
 
     ExecOptions exec;
-    exec.noFastpath = opts.noFastpath;
     if (opts.inject == "skip-latr-sweep") {
         exec.injectSkipLatrSweep = true;
         std::printf("fault injection: LATR sweeps disabled — the "

@@ -79,7 +79,6 @@ main(int argc, char **argv)
     std::string recordPath;
     std::string replayPath;
     double rateScale = 1.0;
-    bool noFastpath = false;
     bool dumpStats = false;
     std::string tracePath;
     std::string traceTextPath;
@@ -113,7 +112,6 @@ main(int argc, char **argv)
         .text("--record", &recordPath)
         .text("--replay", &replayPath)
         .real("--rate-scale", &rateScale, 1e-3, 1e3)
-        .flag("--no-fastpath", &noFastpath)
         .flag("--stats", &dumpStats)
         .text("--trace", &tracePath)
         .text("--trace-text", &traceTextPath)
@@ -183,7 +181,6 @@ main(int argc, char **argv)
     }
 
     MachineConfig config = machineOf();
-    config.noFastpath = noFastpath;
     Machine machine(config, policy);
     if (!tracePath.empty() || !traceTextPath.empty()) {
         machine.trace().setCapacity(traceCapacity);

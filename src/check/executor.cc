@@ -50,7 +50,6 @@ executorConfig(const Script &script, const ExecOptions &opt)
     cfg.pcidEnabled = script.pcid;
     cfg.injectSkipLatrSweep = opt.injectSkipLatrSweep;
     cfg.injectMispredictSharers = opt.injectMispredictSharers;
-    cfg.noFastpath = opt.noFastpath;
     return cfg;
 }
 

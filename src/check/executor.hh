@@ -40,8 +40,6 @@ struct ExecOptions
      * injectSkipLatrSweep.
      */
     bool injectMispredictSharers = false;
-    /** Force the naive engine paths (MachineConfig::noFastpath). */
-    bool noFastpath = false;
 };
 
 /** Outcome of one script run under one policy. */

@@ -61,8 +61,6 @@ class LlcCache
      */
     void setLatrReservedWays(unsigned ways);
 
-    unsigned latrReservedWays() const { return latrWays_; }
-
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
     unsigned lineBytes() const { return lineBytes_; }

@@ -91,9 +91,6 @@ class IpiFabric
     void resetStats() { ipisSent_ = 0; broadcasts_ = 0; }
     /// @}
 
-    /** Pooled delivery events currently allocated (tests). */
-    std::size_t deliveryPoolSize() const { return events_.size(); }
-
   private:
     /**
      * One in-flight interrupt delivery, pooled by the fabric

@@ -154,11 +154,4 @@ PageTable::findHuge(Vpn vpn) const
     return const_cast<PageTable *>(this)->findHuge(vpn);
 }
 
-void
-PageTable::forEachHuge(const std::function<void(Vpn, Pte &)> &fn)
-{
-    for (auto &kv : hugeEntries_)
-        fn(kv.first, kv.second);
-}
-
 } // namespace latr

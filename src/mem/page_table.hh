@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -182,9 +181,6 @@ class PageTable
     {
         return hugeEntries_.size();
     }
-
-    /** Invoke @p fn on each present huge mapping (by base vpn). */
-    void forEachHuge(const std::function<void(Vpn, Pte &)> &fn);
 
     /// @}
 

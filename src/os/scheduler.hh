@@ -110,30 +110,11 @@ class Scheduler : public CoreService
   private:
     struct CoreState;
 
-    /** Recurring per-core tick (naive --no-fastpath path). */
-    class TickEvent : public Event
-    {
-      public:
-        TickEvent(Scheduler *sched, CoreId core)
-            : sched_(sched), core_(core)
-        {}
-
-        void process() override { sched_->tick(core_); }
-
-        const char *name() const override { return "sched-tick"; }
-
-      private:
-        Scheduler *sched_;
-        CoreId core_;
-    };
-
     /**
      * Recurring tick-wheel bucket: one event per distinct phase
-     * offset, ticking every core parked in that slot. With the
-     * standard phase formula every core gets its own slot, so the
-     * wheel fires the same events at the same ticks as the per-core
-     * path — but the engine keeps N fewer events in the queue and
-     * pays one virtual dispatch per slot instead of per core.
+     * offset, ticking every core parked in that slot. With the 1 ms
+     * tick no two phases coincide on 120 cores or fewer, so every
+     * slot holds one core.
      */
     class WheelEvent : public Event
     {
@@ -158,7 +139,6 @@ class Scheduler : public CoreService
         std::unique_ptr<WheelEvent> event;
     };
 
-    void tick(CoreId core);
     void wheelTick(unsigned slot);
 
     /** One core's tick body, sans rescheduling. */
@@ -183,15 +163,14 @@ class Scheduler : public CoreService
         std::vector<Task *> runqueue;
         Task *current = nullptr;
         Duration stolen = 0;
-        std::unique_ptr<TickEvent> tickEvent;
         /** mms whose entries this core's TLB may hold. */
         std::unordered_set<AddressSpace *> residents;
     };
 
     std::vector<CoreState> cores_;
-    /** Tick-wheel slots, ascending phase (empty under noFastpath). */
+    /** Tick-wheel slots, ascending phase. */
     std::vector<WheelSlot> wheel_;
-    /** Core id -> wheel slot index (empty under noFastpath). */
+    /** Core id -> wheel slot index. */
     std::vector<unsigned> slotOf_;
     bool started_ = false;
     std::uint64_t ticksProcessed_ = 0;

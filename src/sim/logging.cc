@@ -8,8 +8,6 @@ namespace latr
 
 namespace
 {
-LogLevel globalLevel = LogLevel::Quiet;
-
 void
 vreport(const char *tag, const char *fmt, va_list args)
 {
@@ -18,18 +16,6 @@ vreport(const char *tag, const char *fmt, va_list args)
     std::fprintf(stderr, "\n");
 }
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
 
 void
 panic(const char *fmt, ...)
@@ -57,28 +43,6 @@ warn(const char *fmt, ...)
     va_list args;
     va_start(args, fmt);
     vreport("warn", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Info)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
-}
-
-void
-debugLog(LogLevel level, const char *fmt, ...)
-{
-    if (globalLevel < level)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("debug", fmt, args);
     va_end(args);
 }
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Status and error reporting in the gem5 tradition: panic() for
- * internal simulator bugs (aborts), fatal() for user/configuration
- * errors (clean exit), warn()/inform() for status messages, and a
- * debug trace facility gated by a runtime level.
+ * Error reporting in the gem5 tradition: panic() for internal
+ * simulator bugs (aborts), fatal() for user/configuration errors
+ * (clean exit), and warn() for suspicious conditions.
  */
 
 #ifndef LATR_SIM_LOGGING_HH_
@@ -14,21 +13,6 @@
 
 namespace latr
 {
-
-/** Trace verbosity; messages at or below the global level print. */
-enum class LogLevel
-{
-    Quiet = 0,  ///< only warnings and errors
-    Info = 1,   ///< high-level progress
-    Debug = 2,  ///< per-operation detail
-    Trace = 3,  ///< per-event detail
-};
-
-/** Set the global trace verbosity. */
-void setLogLevel(LogLevel level);
-
-/** Current global trace verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal simulator bug and abort. Use when a condition
@@ -47,21 +31,6 @@ LogLevel logLevel();
 
 /** Report a suspicious condition that does not stop the simulation. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message if the global level admits @p level. */
-void debugLog(LogLevel level, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-/** panic() unless @p cond holds; @p msg names the violated condition. */
-inline void
-panicIfNot(bool cond, const char *msg)
-{
-    if (!cond)
-        panic("assertion failed: %s", msg);
-}
 
 } // namespace latr
 

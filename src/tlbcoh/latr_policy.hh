@@ -187,11 +187,9 @@ class LatrPolicy : public TlbCoherencePolicy
      * which only costs one redundant full scan, never correctness.
      * On 120-core runs where most cores' sweeps match nothing, a
      * clear bit lets sweep() skip the O(active_) scan while charging
-     * exactly what the naive empty scan charges.
+     * exactly what a matchless scan charges.
      */
     CpuMask pendingSweepers_;
-    /** Elision enabled (config.noFastpath forces the naive scan). */
-    const bool fastpath_;
     Counter &sweepsCtr_;
     Counter &sweepMatchesCtr_;
     Counter &statesSavedCtr_;

@@ -108,8 +108,6 @@ struct StalenessContract
      * is synchronous: coherence is reached before the op returns.
      */
     Duration epochBound = 0;
-    /** Why the bound holds. */
-    const char *rationale = "synchronous shootdown before op returns";
 };
 
 /** Static properties of a policy (rows of the paper's table 2). */

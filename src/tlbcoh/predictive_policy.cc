@@ -53,11 +53,8 @@ PredictivePolicy::stalenessContract() const
     // verification pass one tick interval after the op completes,
     // plus the fallback shootdown that pass issues. The 5 µs slack
     // mirrors LatrPolicy's allowance for event-processing skew.
-    return StalenessContract{
-        cost().tickInterval + 5 * kUsec + fallbackRoundTripBound(),
-        "predicted shootdowns are verified by TLB probes "
-        "within one scheduler epoch; stale hits die in one full-mask "
-        "fallback round-trip"};
+    return StalenessContract{cost().tickInterval + 5 * kUsec +
+                             fallbackRoundTripBound()};
 }
 
 bool

@@ -421,12 +421,6 @@ AddressSpace::contentTag(Vpn vpn) const
 }
 
 void
-AddressSpace::clearContentTag(Vpn vpn)
-{
-    contentTags_.erase(vpn);
-}
-
-void
 AddressSpace::noteAccess(Vpn vpn, CoreId core)
 {
     sharers_[vpn].set(core);

@@ -256,9 +256,6 @@ class AddressSpace
     /** Content tag of @p vpn, or 0 if untagged. */
     std::uint64_t contentTag(Vpn vpn) const;
 
-    /** Drop @p vpn's tag (content diverged or page gone). */
-    void clearContentTag(Vpn vpn);
-
     /// @}
 
     /// @name Access-bit sharer tracking (harvested by ABIS)

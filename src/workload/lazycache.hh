@@ -95,10 +95,9 @@ class LazyCacheWorkload
     /**
      * FNV-1a64 over the workload counters, every page's generation
      * and filled flag, and per-actor iteration counts. Any
-     * scheduling divergence between engine configurations changes
-     * interleaving-visible state, so equal digests with and without
-     * --no-fastpath certify the fast paths preserved the model
-     * exactly.
+     * scheduling divergence changes interleaving-visible state, so
+     * a digest equal to the parent build's certifies that an engine
+     * change preserved the model exactly.
      */
     std::uint64_t digest() const;
 

@@ -476,5 +476,86 @@ TEST(LatrPcid, SweepInvalidatesByPcidAcrossProcesses)
     EXPECT_EQ(machine.checker()->violations(), 0u);
 }
 
+/**
+ * The sweep-elision mask is a sound over-approximation: a fresh
+ * publication sets the bits of the cores it addresses, and a core's
+ * bit clears once its sweep has visited every active state.
+ * RandomOpSoup checks the covering invariant after every op.
+ */
+TEST(LatrSweepElision, PendingSweepersCoversActiveMasks)
+{
+    MachineConfig config = MachineConfig::commodity2S16C();
+    Machine machine(config, PolicyKind::Latr);
+    Kernel &kernel = machine.kernel();
+    auto *latr = dynamic_cast<LatrPolicy *>(&machine.policy());
+    ASSERT_NE(latr, nullptr);
+
+    Process *proc = kernel.createProcess("p");
+    Task *a = kernel.spawnTask(proc, 0);
+    Task *b = kernel.spawnTask(proc, 5);
+    SyscallResult m =
+        kernel.mmap(a, 4 * kPageSize, kProtRead | kProtWrite);
+    ASSERT_TRUE(m.ok);
+    kernel.touch(a, m.addr, true);
+    kernel.touch(b, m.addr, true);
+    kernel.munmap(a, m.addr, 4 * kPageSize);
+    // The publication addressed core 5 (resident remote): its bit
+    // must be pending until core 5 sweeps.
+    EXPECT_TRUE(latr->pendingSweepers().test(5));
+    machine.run(5 * kMsec);
+    // After every core swept and the state deactivated, nothing is
+    // pending for core 5 anymore and the invariant holds vacuously.
+    EXPECT_FALSE(latr->pendingSweepers().test(5));
+}
+
+/**
+ * An elided sweep must charge and model exactly what a matchless
+ * scan does. On the 120-core machine with one task per core, no
+ * timeslice rotation and no state ever saved, every sweep after the
+ * spawns is an elided tick sweep: one per processed tick, each
+ * stealing schedTickFixed + latrSweepFixed and reading one LLC line.
+ */
+TEST(LatrSweepElision, ElidedSweepsChargeLikeMatchlessScans)
+{
+    Machine machine(MachineConfig::largeNuma8S120C(), PolicyKind::Latr);
+    Kernel &kernel = machine.kernel();
+    Scheduler &sched = machine.scheduler();
+    const unsigned cores = machine.topo().totalCores();
+    Process *proc = kernel.createProcess("one-per-core");
+    for (CoreId c = 0; c < cores; ++c)
+        kernel.spawnTask(proc, c);
+    machine.run(kUsec);
+
+    auto sweepLines = [&machine] {
+        std::uint64_t lines = 0;
+        for (NodeId n = 0; n < machine.topo().sockets(); ++n)
+            lines += machine.llcOf(n).hits(CacheAccessOrigin::LatrSweep) +
+                     machine.llcOf(n).misses(CacheAccessOrigin::LatrSweep);
+        return lines;
+    };
+    for (CoreId c = 0; c < cores; ++c)
+        sched.takeStolen(c);
+    const std::uint64_t sweeps0 =
+        machine.stats().counterValue("latr.sweeps");
+    const std::uint64_t ticks0 = sched.ticksProcessed();
+    const std::uint64_t lines0 = sweepLines();
+
+    machine.run(10 * machine.config().cost.tickInterval);
+
+    const std::uint64_t sweeps =
+        machine.stats().counterValue("latr.sweeps") - sweeps0;
+    const std::uint64_t ticks = sched.ticksProcessed() - ticks0;
+    Duration stolen = 0;
+    for (CoreId c = 0; c < cores; ++c)
+        stolen += sched.takeStolen(c);
+    const CostModel &cost = machine.config().cost;
+    EXPECT_EQ(machine.stats().counterValue("latr.states_saved"), 0u);
+    EXPECT_GT(ticks, 9u * cores);
+    EXPECT_EQ(sweeps, ticks);
+    EXPECT_EQ(stolen,
+              ticks * (cost.schedTickFixed + cost.latrSweepFixed));
+    EXPECT_EQ(sweepLines() - lines0, sweeps);
+}
+
 } // namespace
 } // namespace latr

@@ -171,38 +171,27 @@ TEST_F(SchedFixture, CoreServiceBasics)
 }
 
 /**
- * The tick wheel (default) and the naive per-core tick events
- * (noFastpath) must process identical tick counts and report the
- * same per-core tick phases on the 120-core machine. With the 1 ms
- * tick no two of its phases coincide, so each wheel slot holds one
- * core.
+ * The tick wheel gives each of the 120 cores of the large machine its
+ * own phase, (interval x (core + 1)) / cores, and keeps every core
+ * ticking once per interval.
  */
-TEST(SchedulerWheel, MatchesNaivePerCoreTicks)
+TEST(SchedulerWheel, SlotsFollowPerCorePhases)
 {
-    std::uint64_t ticks[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        MachineConfig cfg = MachineConfig::largeNuma8S120C();
-        cfg.noFastpath = mode == 1;
-        Machine machine(cfg, PolicyKind::LinuxSync);
-        Process *p = machine.kernel().createProcess("t");
-        const unsigned cores = machine.topo().totalCores();
-        for (CoreId c = 0; c < cores; ++c)
-            machine.kernel().spawnTask(p, c);
-        machine.run(kUsec);
-        if (mode == 0) {
-            // Phase check against the naive formula while the first
-            // interval is still in flight.
-            const Tick interval = machine.config().cost.tickInterval;
-            for (CoreId c = 0; c < cores; ++c)
-                EXPECT_EQ(machine.scheduler().nextTickAt(c),
-                          (interval * (c + 1)) / cores)
-                    << "core " << c;
-        }
-        machine.run(10 * machine.config().cost.tickInterval);
-        ticks[mode] = machine.scheduler().ticksProcessed();
-        EXPECT_GT(ticks[mode], 9u * cores);
-    }
-    EXPECT_EQ(ticks[0], ticks[1]);
+    Machine machine(MachineConfig::largeNuma8S120C(),
+                    PolicyKind::LinuxSync);
+    Process *p = machine.kernel().createProcess("t");
+    const unsigned cores = machine.topo().totalCores();
+    for (CoreId c = 0; c < cores; ++c)
+        machine.kernel().spawnTask(p, c);
+    machine.run(kUsec);
+    // Phases while the first interval is still in flight.
+    const Tick interval = machine.config().cost.tickInterval;
+    for (CoreId c = 0; c < cores; ++c)
+        EXPECT_EQ(machine.scheduler().nextTickAt(c),
+                  (interval * (c + 1)) / cores)
+            << "core " << c;
+    machine.run(10 * interval);
+    EXPECT_GT(machine.scheduler().ticksProcessed(), 9u * cores);
 }
 
 /** Wheel slots keep rescheduling across stop/start transitions. */
