@@ -8,11 +8,14 @@
 // merged page), a fully touched 2 MiB-aligned base-page region
 // (khugepaged). The coherence checker's two halves, the reuse
 // invariant and the staleness contract, arbitrate; the test also
-// asserts that every daemon acted.
+// asserts that every daemon acted, and pins what each run did: a
+// digest of the machine's stats dump plus every daemon's own count.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "numa/autonuma.hh"
@@ -33,6 +36,56 @@ struct ChaosParam
     PolicyKind policy;
     std::uint64_t seed;
 };
+
+/**
+ * What one run must reproduce. A change that moves a pin names it in
+ * CHANGES.md, as for the goldens in tests/golden/.
+ */
+struct ChaosPins
+{
+    PolicyKind policy;
+    std::uint64_t seed;
+    /** FNV-1a of machine.stats().dump() at the end of the run. */
+    std::uint64_t statsDigest;
+    std::uint64_t migrations;
+    std::uint64_t evictions;
+    std::uint64_t merges;
+    std::uint64_t pagesMoved;
+    std::uint64_t promotions;
+};
+
+const ChaosPins kChaosPins[] = {
+    {PolicyKind::LinuxSync, 7, 0x9764a3fe824b4444, 11, 38, 22, 46, 1},
+    {PolicyKind::LinuxSync, 77, 0x8dbe03ef944ad73d, 24, 31, 27, 39, 1},
+    {PolicyKind::Latr, 7, 0x5690e27a7db84243, 11, 34, 23, 48, 1},
+    {PolicyKind::Latr, 77, 0xd366ab5359c6d483, 25, 30, 42, 35, 1},
+    {PolicyKind::Abis, 7, 0xcae74eaffb80517b, 11, 38, 22, 46, 1},
+    {PolicyKind::Abis, 77, 0x46045694c6e68da6, 24, 31, 27, 39, 1},
+    {PolicyKind::Barrelfish, 7, 0x20e764c996b5bd7e, 11, 38, 22, 46, 1},
+    {PolicyKind::Barrelfish, 77, 0x7f107dde29ab1f6d, 24, 31, 27, 39, 1},
+    {PolicyKind::Predictive, 7, 0xc12234d4e62a3e6a, 11, 36, 23, 47, 1},
+    {PolicyKind::Predictive, 77, 0x446dfdc4c907641a, 25, 29, 42, 36, 1},
+};
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(value));
+    return buf;
+}
 
 class Chaos : public ::testing::TestWithParam<ChaosParam>
 {
@@ -283,6 +336,19 @@ TEST_P(Chaos, EverythingAtOnceHoldsTheInvariant)
     EXPECT_GT(thp.stats().regionsScanned, 0u);
     EXPECT_GT(thp.stats().promotions, 0u);
     EXPECT_GT(machine.stats().counterValue("vm.cow_breaks"), 0u);
+
+    // The run reproduces its pins byte for byte.
+    const ChaosPins *pins = nullptr;
+    for (const ChaosPins &p : kChaosPins)
+        if (p.policy == param.policy && p.seed == param.seed)
+            pins = &p;
+    ASSERT_NE(pins, nullptr);
+    EXPECT_EQ(hex(fnv1a(machine.stats().dump())), hex(pins->statsDigest));
+    EXPECT_EQ(autonuma.migrations(), pins->migrations);
+    EXPECT_EQ(swap.evictions(), pins->evictions);
+    EXPECT_EQ(ksm.stats().merges, pins->merges);
+    EXPECT_EQ(compactor.stats().pagesMoved, pins->pagesMoved);
+    EXPECT_EQ(thp.stats().promotions, pins->promotions);
 
     if (::testing::Test::HasFailure()) {
         const std::string stem =
