@@ -500,8 +500,7 @@ main(int argc, char **argv)
     // Gate only the machine scenarios: the churn microbenchmarks are
     // too noisy for a hard floor.
     return bench::checkBaseline(
-        "bench_engine", gate, "events_per_sec", bench::GateBound::Floor,
-        measured,
+        "bench_engine", gate, "events_per_sec", measured,
         "perf gate [%s]: %.0f events/sec vs baseline %.0f (floor "
         "%.0f): %s\n",
         [](const std::string &name) {

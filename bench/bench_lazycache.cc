@@ -8,10 +8,10 @@
 // measuring the path this workload was built to stress.
 //
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
-// `--check-against=BASELINE.json` exits nonzero when a policy's
-// events/s drops more than --max-regression (default 0.30) below the
-// baseline — simulated time, so deterministic on one build. Any
-// other argument exits 2 before anything runs.
+// The rows are simulated time, so stdout is byte-identical from run
+// to run and across builds: tests/golden/bench_lazycache.txt pins it
+// exactly (ctest bench_lazycache.MatchesGolden). Any other argument
+// exits 2 before anything runs.
 
 #include <cstdio>
 #include <string>
@@ -51,10 +51,8 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
-    bench::GateOptions gate;
     Args args;
     args.text("--json", &json_path);
-    gate.declare(args);
     args.parse(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
@@ -162,15 +160,6 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(latrFallbacks));
     json.headline("LATR %.2fM events/s vs Linux %.2fM events/s",
                   latrEvents / 1e6, linuxEvents / 1e6);
-    json.baselineFile(gate.baseline);
     json.write(json_path);
-
-    std::vector<std::pair<std::string, double>> measured;
-    for (const CacheRow &row : rows)
-        measured.emplace_back(row.name, row.result.eventsPerSec);
-    return bench::checkBaseline(
-        "bench_lazycache", gate, "events_per_sec",
-        bench::GateBound::Floor, measured,
-        "throughput gate [%s]: %.0f events/s vs baseline %.0f (floor "
-        "%.0f): %s\n");
+    return 0;
 }

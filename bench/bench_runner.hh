@@ -8,9 +8,8 @@
  * submitting thread, so the output is byte-identical whatever the
  * job count — `--jobs=1` is plain sequential execution.
  *
- * Machines share no mutable state (the only process-wide globals are
- * the log level, which runs read-only, and stdio, which jobs must not
- * touch), so jobs need no locking.
+ * Machines share no mutable state (the only process-wide one is
+ * stdio, which jobs must not touch), so jobs need no locking.
  */
 
 #ifndef LATR_BENCH_BENCH_RUNNER_HH_

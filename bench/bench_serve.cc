@@ -8,12 +8,10 @@
 // JSON row.
 //
 // `--json=FILE` writes the rows in the shared BENCH_*.json shape.
-// `--check-against=BASELINE.json` exits nonzero when a policy's p99
-// grows more than --max-regression (default 0.30) above the
-// baseline, or when a baseline scenario is missing from the run —
-// the CI tail-latency gate. Unlike the wall-clock gates, these rows
-// are simulated time: deterministic on one build, immune to host
-// noise. Any other argument exits 2 before anything runs.
+// The rows are simulated time, so stdout is byte-identical from run
+// to run and across builds: tests/golden/bench_serve.txt pins it
+// exactly (ctest bench_serve.MatchesGolden). Any other argument exits
+// 2 before anything runs.
 
 #include <chrono>
 #include <cstdio>
@@ -61,12 +59,10 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
-    bench::GateOptions gate;
     ServeOptions serveOptions;
     Args args;
     args.text("--json", &json_path)
         .flag("--per-tenant", &serveOptions.perTenantLatency);
-    gate.declare(args);
     args.parse(argc, argv);
 
     const MachineConfig config = MachineConfig::commodity2S16C();
@@ -176,15 +172,6 @@ main(int argc, char **argv)
         latrP99, linuxP99, latrP99 > 0 ? linuxP99 / latrP99 : 0.0,
         predP99,
         latrP99 > 0 ? 100.0 * (predP99 - latrP99) / latrP99 : 0.0);
-    json.baselineFile(gate.baseline);
     json.write(json_path);
-
-    std::vector<std::pair<std::string, double>> measured;
-    for (const ServeRow &row : rows)
-        measured.emplace_back(row.name, bench::us(row.result.p99()));
-    return bench::checkBaseline(
-        "bench_serve", gate, "p99_us", bench::GateBound::Ceiling,
-        measured,
-        "tail gate [%s]: p99 %.1f us vs baseline %.1f (ceiling "
-        "%.1f): %s\n");
+    return 0;
 }

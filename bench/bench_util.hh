@@ -128,10 +128,10 @@ cannotWrite(const char *what, const std::string &path)
  * The config object records the host-side knobs the bench ran with
  * (parallel jobs, host CPUs) so a BENCH_*.json is self-describing:
  * two files can only be compared when their configs match. Every
- * document also records the git commit it was built from and the
- * baseline file it was gated against (see baselineFile()) — the two
- * provenance fields that turn a stray BENCH_*.json back into a
- * reproducible data point.
+ * document also records the git commit it was built from, and a
+ * gated bench's document the baseline file it was gated against (see
+ * baselineFile()) — the provenance that turns a stray BENCH_*.json
+ * back into a reproducible data point.
  */
 class JsonWriter
 {
@@ -289,7 +289,8 @@ class JsonWriter
 
 /**
  * The `--check-against=FILE` and `--max-regression=X` options of a
- * gated bench. X is a fraction (0.30) or a percentage (30).
+ * gated bench (bench_engine's wall-clock gate). X is a fraction
+ * (0.30) or a percentage (30).
  */
 struct GateOptions
 {
@@ -303,13 +304,6 @@ struct GateOptions
         args.text("--check-against", &baseline)
             .real("--max-regression", &maxRegression, 0, 100);
     }
-};
-
-/** The side of its baseline a gated metric must stay on. */
-enum class GateBound
-{
-    Floor,    ///< higher is better: fail below base * (1 - max)
-    Ceiling,  ///< lower is better: fail above base * (1 + max)
 };
 
 /**
@@ -349,11 +343,12 @@ baselineScenarios(const std::string &path, const char *key)
 
 /**
  * Gate this run's @p measured (scenario, value) rows against the
- * baseline's @p key: every baseline scenario that @p gated accepts
- * (all of them when it is null) must be in the run and stay on its
- * @p bound side, within the allowed regression. Prints one line per
- * gated scenario with @p line_format, which takes the scenario, the
- * measured value, the baseline value, the bound and the verdict.
+ * baseline's @p key, where higher is better: every baseline scenario
+ * that @p gated accepts (all of them when it is null) must be in the
+ * run and stay above its floor, base * (1 - max regression). Prints
+ * one line per gated scenario with @p line_format, which takes the
+ * scenario, the measured value, the baseline value, the floor and
+ * the verdict.
  *
  * @return 0 if every gate holds or the run is ungated, 1 on a
  *         regression, 2 when the baseline is unreadable or names a
@@ -361,7 +356,7 @@ baselineScenarios(const std::string &path, const char *key)
  */
 inline int
 checkBaseline(const char *bench, const GateOptions &opts,
-              const char *key, GateBound bound,
+              const char *key,
               const std::vector<std::pair<std::string, double>> &measured,
               const char *line_format,
               bool (*gated)(const std::string &) = nullptr)
@@ -400,13 +395,10 @@ checkBaseline(const char *bench, const GateOptions &opts,
             std::fprintf(stderr, "); refresh the baseline\n");
             return 2;
         }
-        const bool floor = bound == GateBound::Floor;
-        const double limit =
-            base.second * (floor ? 1.0 - max : 1.0 + max);
-        const bool ok =
-            floor ? got->second >= limit : got->second <= limit;
+        const double floor = base.second * (1.0 - max);
+        const bool ok = got->second >= floor;
         std::printf(line_format, base.first.c_str(), got->second,
-                    base.second, limit, ok ? "ok" : "REGRESSION");
+                    base.second, floor, ok ? "ok" : "REGRESSION");
         failed = failed || !ok;
     }
     return failed ? 1 : 0;

@@ -16,7 +16,8 @@
 // or --trace-text file that cannot be written. Times are simulated
 // ns.
 // --workers counts apache/nginx/serve serving cores, --cores the
-// microbench/parsec/numa cores. --duration-ticks is serve's arrival
+// microbench/parsec/numa cores. --benchmark defaults to dedup for
+// parsec and to graph500 for numa. --duration-ticks is serve's arrival
 // horizon and lazycache's measured window (default 100 ms). Zero is
 // valid where it means "off": --burst-pages (no pressure),
 // --churn-interval (no churn), --writers. --rate-scale=F divides every
@@ -117,6 +118,8 @@ main(int argc, char **argv)
         .text("--trace-text", &traceTextPath)
         .number("--trace-capacity", &traceCapacity, 1, 1 << 24);
     args.parse(argc, argv);
+    if (workload == "numa" && !args.given("--benchmark"))
+        benchmark = "graph500";
     serve.workers = workers;
     cache.seed = serve.seed;
     const Duration lazyWindow =

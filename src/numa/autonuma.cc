@@ -1,27 +1,20 @@
 #include "numa/autonuma.hh"
 
-#include "sim/logging.hh"
+#include <algorithm>
 
 namespace latr
 {
 
 AutoNuma::AutoNuma(Kernel &kernel, Duration scan_interval,
                    unsigned pages_per_scan)
-    : kernel_(kernel), scanInterval_(scan_interval),
-      pagesPerScan_(pages_per_scan), migrator_(kernel),
-      scanEvent_(this)
+    : ScanDaemon(kernel, scan_interval, "autonuma-scan"),
+      pagesPerScan_(pages_per_scan), migrator_(kernel)
 {
 }
 
 AutoNuma::~AutoNuma()
 {
     stop();
-}
-
-void
-AutoNuma::track(Process *process)
-{
-    tracked_.push_back(process);
 }
 
 void
@@ -33,47 +26,34 @@ AutoNuma::setScanStride(std::uint64_t stride)
 void
 AutoNuma::start()
 {
-    if (running_)
-        return;
-    running_ = true;
-    kernel_.setNumaFaultHook([this](Vpn vpn, CoreId core) {
-        return onHintFault(vpn, core);
-    });
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
+    if (!running())
+        kernel_.setNumaFaultHook([this](Vpn vpn, CoreId core) {
+            return onHintFault(vpn, core);
+        });
+    ScanDaemon::start();
 }
 
 void
 AutoNuma::stop()
 {
-    if (!running_)
-        return;
-    running_ = false;
-    if (scanEvent_.scheduled())
-        kernel_.queue().deschedule(&scanEvent_);
-    kernel_.setNumaFaultHook(nullptr);
+    if (running())
+        kernel_.setNumaFaultHook(nullptr);
+    ScanDaemon::stop();
 }
 
 void
 AutoNuma::scan()
 {
-    if (tracked_.empty()) {
-        kernel_.queue().schedule(&scanEvent_,
-                                 kernel_.now() + scanInterval_);
+    if (tracked_.empty())
         return;
-    }
 
     Process *process = tracked_[nextProcess_ % tracked_.size()];
     AddressSpace &mm = process->mm();
 
-    // The scan runs in task context (task_numa_work); use the
-    // process's first task as the sampling context.
-    Task *context =
-        process->tasks().empty() ? nullptr : process->tasks().front();
+    // The scan runs in task context (task_numa_work).
+    Task *context = contextOf(process);
     if (!context) {
         nextProcess_++;
-        kernel_.queue().schedule(&scanEvent_,
-                                 kernel_.now() + scanInterval_);
         return;
     }
 
@@ -119,9 +99,6 @@ AutoNuma::scan()
     }
     // The scan work runs on the context task's core.
     kernel_.scheduler().chargeStolen(context->core(), spent);
-
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
 }
 
 Duration

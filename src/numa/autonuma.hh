@@ -13,18 +13,15 @@
 #define LATR_NUMA_AUTONUMA_HH_
 
 #include <unordered_map>
-#include <vector>
 
 #include "numa/migration.hh"
-#include "os/kernel.hh"
-#include "sim/event_queue.hh"
-#include "sim/types.hh"
+#include "numa/scan_daemon.hh"
 
 namespace latr
 {
 
 /** Linux-style automatic NUMA page balancing. */
-class AutoNuma
+class AutoNuma : public ScanDaemon
 {
   public:
     /**
@@ -35,13 +32,8 @@ class AutoNuma
     AutoNuma(Kernel &kernel, Duration scan_interval,
              unsigned pages_per_scan);
 
+    /** Stops first: the base destructor cannot remove the hook. */
     ~AutoNuma();
-
-    AutoNuma(const AutoNuma &) = delete;
-    AutoNuma &operator=(const AutoNuma &) = delete;
-
-    /** Track @p process for balancing. */
-    void track(Process *process);
 
     /**
      * Migration trigger: with two-touch (the default, Linux-like) a
@@ -64,7 +56,7 @@ class AutoNuma
     /** Begin scanning (installs the NUMA-hint fault hook). */
     void start();
 
-    /** Stop scanning. */
+    /** Stop scanning (removes the hook). */
     void stop();
 
     std::uint64_t migrations() const { return migrator_.migrations(); }
@@ -72,31 +64,15 @@ class AutoNuma
     std::uint64_t hintFaults() const { return hintFaults_; }
 
   private:
-    class ScanEvent : public Event
-    {
-      public:
-        explicit ScanEvent(AutoNuma *an) : an_(an) {}
-        void process() override { an_->scan(); }
-        const char *name() const override { return "autonuma-scan"; }
-
-      private:
-        AutoNuma *an_;
-    };
-
     /** One scan round: sample the next batch of pages. */
-    void scan();
+    void scan() override;
 
     /** The NUMA-hint fault handler (kernel hook). */
     Duration onHintFault(Vpn vpn, CoreId core);
 
-    Kernel &kernel_;
-    Duration scanInterval_;
     unsigned pagesPerScan_;
     PageMigrator migrator_;
-    ScanEvent scanEvent_;
-    bool running_ = false;
 
-    std::vector<Process *> tracked_;
     std::size_t nextProcess_ = 0;
     /** Resume cursor within the current process's address space. */
     Vpn scanCursor_ = 0;

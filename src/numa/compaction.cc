@@ -1,9 +1,8 @@
 #include "numa/compaction.hh"
 
-#include <algorithm>
+#include <utility>
 
 #include "numa/migration.hh"
-#include "sim/logging.hh"
 
 namespace latr
 {
@@ -11,40 +10,9 @@ namespace latr
 CompactionDaemon::CompactionDaemon(Kernel &kernel, NodeId node,
                                    Duration scan_interval,
                                    unsigned moves_per_round)
-    : kernel_(kernel), node_(node), scanInterval_(scan_interval),
-      movesPerRound_(moves_per_round), roundEvent_(this)
+    : ScanDaemon(kernel, scan_interval, "compact-round"), node_(node),
+      movesPerRound_(moves_per_round)
 {
-}
-
-CompactionDaemon::~CompactionDaemon()
-{
-    stop();
-}
-
-void
-CompactionDaemon::track(Process *process)
-{
-    tracked_.push_back(process);
-}
-
-void
-CompactionDaemon::start()
-{
-    if (running_)
-        return;
-    running_ = true;
-    kernel_.queue().schedule(&roundEvent_,
-                             kernel_.now() + scanInterval_);
-}
-
-void
-CompactionDaemon::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    if (roundEvent_.scheduled())
-        kernel_.queue().deschedule(&roundEvent_);
 }
 
 Pfn
@@ -61,26 +29,19 @@ CompactionDaemon::highFrameFraction() const
     const Pfn mark = highWatermark();
     std::uint64_t high = 0;
     std::uint64_t total = 0;
-    for (Process *process : tracked_) {
-        AddressSpace &mm = process->mm();
-        for (const auto &kv : mm.vmas()) {
-            const Vma &vma = kv.second;
-            mm.pageTable().forEachPresent(
-                pageOf(vma.start), pageOf(vma.end) - 1,
-                [&](Vpn, Pte &pte) {
-                    if (frames.nodeOf(pte.pfn) != node_)
-                        return;
-                    ++total;
-                    if (pte.pfn >= mark)
-                        ++high;
-                });
-        }
-    }
+    for (Process *process : tracked_)
+        forEachPresentPage(process->mm(), [&](Vpn, const Pte &pte) {
+            if (frames.nodeOf(pte.pfn) == node_) {
+                ++total;
+                high += pte.pfn >= mark;
+            }
+            return true;
+        });
     return total ? static_cast<double>(high) / total : 0.0;
 }
 
 void
-CompactionDaemon::round()
+CompactionDaemon::scan()
 {
     const Pfn mark = highWatermark();
     std::vector<PendingMove> moves;
@@ -89,31 +50,18 @@ CompactionDaemon::round()
     for (Process *process : tracked_) {
         if (moves.size() >= movesPerRound_)
             break;
-        AddressSpace &mm = process->mm();
-        Task *context = process->tasks().empty()
-                            ? nullptr
-                            : process->tasks().front();
+        Task *context = contextOf(process);
         if (!context)
             continue;
         const FrameAllocator &frames = kernel_.frames();
+        const std::size_t room = movesPerRound_ - moves.size();
         std::vector<Vpn> candidates;
-        for (const auto &kv : mm.vmas()) {
-            const Vma &vma = kv.second;
-            mm.pageTable().forEachPresent(
-                pageOf(vma.start), pageOf(vma.end) - 1,
-                [&](Vpn vpn, Pte &pte) {
-                    if (candidates.size() >=
-                        movesPerRound_ - moves.size())
-                        return;
-                    if (pte.protNone())
-                        return;
-                    if (frames.nodeOf(pte.pfn) == node_ &&
-                        pte.pfn >= mark)
-                        candidates.push_back(vpn);
-                });
-            if (candidates.size() >= movesPerRound_ - moves.size())
-                break;
-        }
+        forEachPresentPage(process->mm(), [&](Vpn vpn, const Pte &pte) {
+            if (!pte.protNone() && frames.nodeOf(pte.pfn) == node_ &&
+                pte.pfn >= mark)
+                candidates.push_back(vpn);
+            return candidates.size() < room;
+        });
         // Phase 1: sample each candidate through the coherence
         // policy — no IPI under LATR; the first sweeping core does
         // the prot-none unmap (exactly the AutoNUMA recipe).
@@ -138,9 +86,6 @@ CompactionDaemon::round()
                 completeMoves(pending);
             });
     }
-    if (running_)
-        kernel_.queue().schedule(&roundEvent_,
-                                 kernel_.now() + scanInterval_);
 }
 
 void
@@ -154,9 +99,7 @@ CompactionDaemon::completeMoves(std::vector<PendingMove> moves)
 
     for (const PendingMove &move : moves) {
         AddressSpace &mm = move.process->mm();
-        context = move.process->tasks().empty()
-                      ? nullptr
-                      : move.process->tasks().front();
+        context = contextOf(move.process);
         if (!context) {
             ++stats_.aborts;
             continue;

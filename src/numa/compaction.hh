@@ -16,12 +16,9 @@
 #ifndef LATR_NUMA_COMPACTION_HH_
 #define LATR_NUMA_COMPACTION_HH_
 
-#include <unordered_map>
 #include <vector>
 
-#include "os/kernel.hh"
-#include "sim/event_queue.hh"
-#include "sim/types.hh"
+#include "numa/scan_daemon.hh"
 
 namespace latr
 {
@@ -43,7 +40,7 @@ struct CompactionStats
  * whose frames lie in the node's upper half and migrates them into
  * lower free frames.
  */
-class CompactionDaemon
+class CompactionDaemon : public ScanDaemon
 {
   public:
     /**
@@ -55,17 +52,6 @@ class CompactionDaemon
     CompactionDaemon(Kernel &kernel, NodeId node,
                      Duration scan_interval, unsigned moves_per_round);
 
-    ~CompactionDaemon();
-
-    CompactionDaemon(const CompactionDaemon &) = delete;
-    CompactionDaemon &operator=(const CompactionDaemon &) = delete;
-
-    /** Consider @p process's pages for compaction. */
-    void track(Process *process);
-
-    void start();
-    void stop();
-
     const CompactionStats &stats() const { return stats_; }
 
     /**
@@ -76,17 +62,6 @@ class CompactionDaemon
     double highFrameFraction() const;
 
   private:
-    class RoundEvent : public Event
-    {
-      public:
-        explicit RoundEvent(CompactionDaemon *cd) : cd_(cd) {}
-        void process() override { cd_->round(); }
-        const char *name() const override { return "compact-round"; }
-
-      private:
-        CompactionDaemon *cd_;
-    };
-
     /** One candidate mid-move: sampled, waiting for the gate. */
     struct PendingMove
     {
@@ -95,7 +70,7 @@ class CompactionDaemon
     };
 
     /** Phase 1: sample a batch of high-frame pages. */
-    void round();
+    void scan() override;
 
     /** Phase 2 (event): complete the sampled moves. */
     void completeMoves(std::vector<PendingMove> moves);
@@ -103,14 +78,8 @@ class CompactionDaemon
     /** First frame of the node's upper half. */
     Pfn highWatermark() const;
 
-    Kernel &kernel_;
     NodeId node_;
-    Duration scanInterval_;
     unsigned movesPerRound_;
-    RoundEvent roundEvent_;
-    bool running_ = false;
-
-    std::vector<Process *> tracked_;
     CompactionStats stats_;
 };
 

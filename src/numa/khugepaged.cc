@@ -1,56 +1,22 @@
 #include "numa/khugepaged.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
+#include <utility>
 
 namespace latr
 {
 
 Khugepaged::Khugepaged(Kernel &kernel, Duration scan_interval,
                        unsigned promotions_per_round)
-    : kernel_(kernel), scanInterval_(scan_interval),
-      promotionsPerRound_(promotions_per_round), scanEvent_(this)
+    : ScanDaemon(kernel, scan_interval, "khugepaged"),
+      promotionsPerRound_(promotions_per_round)
 {
-}
-
-Khugepaged::~Khugepaged()
-{
-    stop();
-}
-
-void
-Khugepaged::track(Process *process)
-{
-    tracked_.push_back(process);
-}
-
-void
-Khugepaged::start()
-{
-    if (running_)
-        return;
-    running_ = true;
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
-}
-
-void
-Khugepaged::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    if (scanEvent_.scheduled())
-        kernel_.queue().deschedule(&scanEvent_);
 }
 
 Duration
 Khugepaged::collapse(Process *process, Vpn base_vpn)
 {
     AddressSpace &mm = process->mm();
-    Task *context =
-        process->tasks().empty() ? nullptr : process->tasks().front();
+    Task *context = contextOf(process);
     if (!context)
         return 0;
 
@@ -140,8 +106,6 @@ Khugepaged::scan()
                 break;
         }
     }
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
 }
 
 } // namespace latr

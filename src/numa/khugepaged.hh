@@ -15,11 +15,7 @@
 #ifndef LATR_NUMA_KHUGEPAGED_HH_
 #define LATR_NUMA_KHUGEPAGED_HH_
 
-#include <vector>
-
-#include "os/kernel.hh"
-#include "sim/event_queue.hh"
-#include "sim/types.hh"
+#include "numa/scan_daemon.hh"
 
 namespace latr
 {
@@ -34,7 +30,7 @@ struct KhugepagedStats
 };
 
 /** Background transparent-huge-page promotion daemon. */
-class Khugepaged
+class Khugepaged : public ScanDaemon
 {
   public:
     /**
@@ -45,32 +41,10 @@ class Khugepaged
     Khugepaged(Kernel &kernel, Duration scan_interval,
                unsigned promotions_per_round);
 
-    ~Khugepaged();
-
-    Khugepaged(const Khugepaged &) = delete;
-    Khugepaged &operator=(const Khugepaged &) = delete;
-
-    /** Consider @p process's regions for promotion. */
-    void track(Process *process);
-
-    void start();
-    void stop();
-
     const KhugepagedStats &stats() const { return stats_; }
 
   private:
-    class ScanEvent : public Event
-    {
-      public:
-        explicit ScanEvent(Khugepaged *kh) : kh_(kh) {}
-        void process() override { kh_->scan(); }
-        const char *name() const override { return "khugepaged"; }
-
-      private:
-        Khugepaged *kh_;
-    };
-
-    void scan();
+    void scan() override;
 
     /**
      * Collapse [base_vpn, base_vpn + 512) of @p process into a huge
@@ -78,13 +52,7 @@ class Khugepaged
      */
     Duration collapse(Process *process, Vpn base_vpn);
 
-    Kernel &kernel_;
-    Duration scanInterval_;
     unsigned promotionsPerRound_;
-    ScanEvent scanEvent_;
-    bool running_ = false;
-
-    std::vector<Process *> tracked_;
     KhugepagedStats stats_;
 };
 

@@ -1,48 +1,17 @@
 #include "numa/ksm.hh"
 
+#include <unordered_map>
 #include <utility>
-
-#include "sim/logging.hh"
+#include <vector>
 
 namespace latr
 {
 
 KsmDaemon::KsmDaemon(Kernel &kernel, Duration scan_interval,
                      unsigned merges_per_round)
-    : kernel_(kernel), scanInterval_(scan_interval),
-      mergesPerRound_(merges_per_round), scanEvent_(this)
+    : ScanDaemon(kernel, scan_interval, "ksm-scan"),
+      mergesPerRound_(merges_per_round)
 {
-}
-
-KsmDaemon::~KsmDaemon()
-{
-    stop();
-}
-
-void
-KsmDaemon::track(Process *process)
-{
-    tracked_.push_back(process);
-}
-
-void
-KsmDaemon::start()
-{
-    if (running_)
-        return;
-    running_ = true;
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
-}
-
-void
-KsmDaemon::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    if (scanEvent_.scheduled())
-        kernel_.queue().deschedule(&scanEvent_);
 }
 
 Duration
@@ -50,11 +19,8 @@ KsmDaemon::merge(Process *dup, Vpn dup_vpn, Process *survivor,
                  Vpn survivor_vpn, Pfn survivor_frame)
 {
     AddressSpace &mm = dup->mm();
-    Task *context =
-        dup->tasks().empty() ? nullptr : dup->tasks().front();
-    Task *s_context = survivor->tasks().empty()
-                          ? nullptr
-                          : survivor->tasks().front();
+    Task *context = contextOf(dup);
+    Task *s_context = contextOf(survivor);
     if (!context || !s_context)
         return 0;
     Pte *pte = mm.pageTable().find(dup_vpn);
@@ -134,24 +100,19 @@ KsmDaemon::scan()
         if (merged >= mergesPerRound_)
             break;
         AddressSpace &mm = process->mm();
-        if (!process->tasks().empty())
-            context = process->tasks().front();
+        if (Task *task = contextOf(process))
+            context = task;
 
-        // Collect (vpn, tag, pfn) candidates first; merging mutates
-        // the page table, so it happens outside the walk.
+        // Collect (vpn, tag) candidates first; merging mutates the
+        // page table, so it happens outside the walk.
         std::vector<std::pair<Vpn, std::uint64_t>> tagged;
-        for (const auto &kv : mm.vmas()) {
-            const Vma &vma = kv.second;
-            mm.pageTable().forEachPresent(
-                pageOf(vma.start), pageOf(vma.end) - 1,
-                [&](Vpn vpn, Pte &pte) {
-                    if (pte.protNone())
-                        return;
-                    const std::uint64_t tag = mm.contentTag(vpn);
-                    if (tag != 0)
-                        tagged.emplace_back(vpn, tag);
-                });
-        }
+        forEachPresentPage(mm, [&](Vpn vpn, const Pte &pte) {
+            const std::uint64_t tag =
+                pte.protNone() ? 0 : mm.contentTag(vpn);
+            if (tag != 0)
+                tagged.emplace_back(vpn, tag);
+            return true;
+        });
 
         for (const auto &[vpn, tag] : tagged) {
             if (merged >= mergesPerRound_)
@@ -175,9 +136,6 @@ KsmDaemon::scan()
     }
     if (context)
         kernel_.scheduler().chargeStolen(context->core(), spent);
-
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
 }
 
 } // namespace latr

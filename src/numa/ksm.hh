@@ -19,12 +19,7 @@
 #ifndef LATR_NUMA_KSM_HH_
 #define LATR_NUMA_KSM_HH_
 
-#include <unordered_map>
-#include <vector>
-
-#include "os/kernel.hh"
-#include "sim/event_queue.hh"
-#include "sim/types.hh"
+#include "numa/scan_daemon.hh"
 
 namespace latr
 {
@@ -39,7 +34,7 @@ struct KsmStats
 };
 
 /** Background same-page-merging daemon. */
-class KsmDaemon
+class KsmDaemon : public ScanDaemon
 {
   public:
     /**
@@ -50,32 +45,10 @@ class KsmDaemon
     KsmDaemon(Kernel &kernel, Duration scan_interval,
               unsigned merges_per_round);
 
-    ~KsmDaemon();
-
-    KsmDaemon(const KsmDaemon &) = delete;
-    KsmDaemon &operator=(const KsmDaemon &) = delete;
-
-    /** Consider @p process's tagged pages for merging. */
-    void track(Process *process);
-
-    void start();
-    void stop();
-
     const KsmStats &stats() const { return stats_; }
 
   private:
-    class ScanEvent : public Event
-    {
-      public:
-        explicit ScanEvent(KsmDaemon *kd) : kd_(kd) {}
-        void process() override { kd_->scan(); }
-        const char *name() const override { return "ksm-scan"; }
-
-      private:
-        KsmDaemon *kd_;
-    };
-
-    void scan();
+    void scan() override;
 
     /**
      * Merge @p dup_vpn of @p dup (currently backed by its own
@@ -86,13 +59,7 @@ class KsmDaemon
     Duration merge(Process *dup, Vpn dup_vpn, Process *survivor,
                    Vpn survivor_vpn, Pfn survivor_frame);
 
-    Kernel &kernel_;
-    Duration scanInterval_;
     unsigned mergesPerRound_;
-    ScanEvent scanEvent_;
-    bool running_ = false;
-
-    std::vector<Process *> tracked_;
     KsmStats stats_;
 };
 

@@ -3,57 +3,11 @@
 namespace latr
 {
 
-namespace
-{
-std::uint64_t
-swapKey(MmId mm, Vpn vpn)
-{
-    return (mm << 40) ^ vpn;
-}
-} // namespace
-
 SwapDaemon::SwapDaemon(Kernel &kernel, Duration scan_interval,
                        unsigned max_evictions_per_scan)
-    : kernel_(kernel), scanInterval_(scan_interval),
-      maxEvictions_(max_evictions_per_scan), scanEvent_(this)
+    : ScanDaemon(kernel, scan_interval, "swap-scan"),
+      maxEvictions_(max_evictions_per_scan)
 {
-}
-
-SwapDaemon::~SwapDaemon()
-{
-    stop();
-}
-
-void
-SwapDaemon::track(Process *process)
-{
-    tracked_.push_back(process);
-}
-
-void
-SwapDaemon::start()
-{
-    if (running_)
-        return;
-    running_ = true;
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
-}
-
-void
-SwapDaemon::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    if (scanEvent_.scheduled())
-        kernel_.queue().deschedule(&scanEvent_);
-}
-
-bool
-SwapDaemon::wasSwappedOut(MmId mm, Vpn vpn) const
-{
-    return swappedOut_.count(swapKey(mm, vpn)) != 0;
 }
 
 void
@@ -64,9 +18,7 @@ SwapDaemon::scan()
         if (evicted >= maxEvictions_)
             break;
         AddressSpace &mm = process->mm();
-        Task *context = process->tasks().empty()
-                            ? nullptr
-                            : process->tasks().front();
+        Task *context = contextOf(process);
         if (!context)
             continue;
 
@@ -98,15 +50,12 @@ SwapDaemon::scan()
             SyscallResult r =
                 kernel_.madvise(context, addrOf(vpn), kPageSize);
             if (r.ok) {
-                swappedOut_.insert(swapKey(mm.id(), vpn));
                 ++evicted;
                 ++evictions_;
                 kernel_.stats().counter("swap.evictions").inc();
             }
         }
     }
-    kernel_.queue().schedule(&scanEvent_,
-                             kernel_.now() + scanInterval_);
 }
 
 } // namespace latr

@@ -15,18 +15,13 @@
 #ifndef LATR_NUMA_SWAP_HH_
 #define LATR_NUMA_SWAP_HH_
 
-#include <unordered_set>
-#include <vector>
-
-#include "os/kernel.hh"
-#include "sim/event_queue.hh"
-#include "sim/types.hh"
+#include "numa/scan_daemon.hh"
 
 namespace latr
 {
 
 /** Clock-style page-out daemon. */
-class SwapDaemon
+class SwapDaemon : public ScanDaemon
 {
   public:
     /**
@@ -37,44 +32,12 @@ class SwapDaemon
     SwapDaemon(Kernel &kernel, Duration scan_interval,
                unsigned max_evictions_per_scan);
 
-    ~SwapDaemon();
-
-    SwapDaemon(const SwapDaemon &) = delete;
-    SwapDaemon &operator=(const SwapDaemon &) = delete;
-
-    /** Consider @p process's pages for eviction. */
-    void track(Process *process);
-
-    void start();
-    void stop();
-
-    /** A page previously swapped out that was faulted back in. */
-    bool wasSwappedOut(MmId mm, Vpn vpn) const;
-
     std::uint64_t evictions() const { return evictions_; }
 
   private:
-    class ScanEvent : public Event
-    {
-      public:
-        explicit ScanEvent(SwapDaemon *sd) : sd_(sd) {}
-        void process() override { sd_->scan(); }
-        const char *name() const override { return "swap-scan"; }
+    void scan() override;
 
-      private:
-        SwapDaemon *sd_;
-    };
-
-    void scan();
-
-    Kernel &kernel_;
-    Duration scanInterval_;
     unsigned maxEvictions_;
-    ScanEvent scanEvent_;
-    bool running_ = false;
-
-    std::vector<Process *> tracked_;
-    std::unordered_set<std::uint64_t> swappedOut_;
     std::uint64_t evictions_ = 0;
 };
 

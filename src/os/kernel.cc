@@ -340,15 +340,18 @@ Kernel::madviseCommon(Task *task, Addr addr, std::uint64_t len,
 Duration
 Kernel::freePages(FreeOpContext ctx, Tick start, const char *op)
 {
-    // The policy consumes the per-page sharer info (ABIS, Predictive)
-    // before it is forgotten.
+    // The policy takes the frames and consumes the per-page sharer
+    // info (ABIS, Predictive) before it is forgotten.
     AddressSpace &mm = *ctx.mm;
-    std::vector<std::pair<Vpn, Pfn>> freed = ctx.frames.entries();
+    const FreedFrames &frames = ctx.frames;
+    freed_.assign(frames.pages.begin(), frames.pages.end());
+    freed_.insert(freed_.end(), frames.hugePages.begin(),
+                  frames.hugePages.end());
     const Duration pol = policy_->onFreePages(std::move(ctx), start);
-    for (const auto &page : freed)
+    for (const auto &page : freed_)
         mm.clearSharers(page.first);
     if (checker_)
-        noteInvalidation(mm, freed, start + pol, op, true);
+        noteInvalidation(mm, freed_, start + pol, op, true);
     return pol;
 }
 

@@ -285,6 +285,15 @@ class Kernel
     std::function<Duration(Vpn, CoreId)> numaFaultHook_;
 
     /**
+     * The (vpn, pfn) pairs of the free in progress, 4 KiB pages
+     * first. freePages() refills it on every call (calls do not
+     * nest): the policy takes the frames, and the sharer info and
+     * the checker need them afterwards. One buffer spares an
+     * allocation per free; it is allocated at the first free.
+     */
+    std::vector<std::pair<Vpn, Pfn>> freed_;
+
+    /**
      * Hooks handed to touchPage(), built once in the constructor:
      * touch() is the hottest kernel entry point and constructing
      * three std::functions per call is measurable. The lambdas

@@ -83,15 +83,6 @@ struct FreedFrames
             fn(page.first);
     }
 
-    /** Every (vpn, pfn), 4 KiB pages first. */
-    std::vector<std::pair<Vpn, Pfn>>
-    entries() const
-    {
-        std::vector<std::pair<Vpn, Pfn>> out = pages;
-        out.insert(out.end(), hugePages.begin(), hugePages.end());
-        return out;
-    }
-
     /** Return every frame to @p frames, 4 KiB pages first; clears. */
     void
     releaseTo(FrameAllocator &frames)

@@ -33,10 +33,11 @@ smallConfig()
 }
 
 ServeResult
-runOn(PolicyKind kind, const Latrace &trace)
+runOn(PolicyKind kind, const Latrace &trace,
+      const ServeOptions &options = {})
 {
     Machine machine(MachineConfig::commodity2S16C(), kind);
-    return runServeTrace(machine, trace);
+    return runServeTrace(machine, trace, options);
 }
 
 TEST(Serve, GeneratorIsByteIdenticalForEqualSeeds)
@@ -80,6 +81,20 @@ TEST(Serve, EveryArrivalIsAccountedFor)
     EXPECT_EQ(r.p50(), r.latency.percentile(0.50));
     EXPECT_LE(r.p50(), r.p99());
     EXPECT_LE(r.p99(), r.p999());
+    EXPECT_TRUE(r.tenantLatency.empty());
+
+    // Per-tenant accounting splits the completions by slot and is
+    // pure observer state: the run and its digest stay the same.
+    ServeOptions perTenant;
+    perTenant.perTenantLatency = true;
+    const ServeResult t = runOn(PolicyKind::Latr, trace, perTenant);
+    EXPECT_EQ(t.tenantLatency.size(), smallConfig().tenants);
+    std::uint64_t perSlot = 0;
+    for (const LatencyHistogram &slot : t.tenantLatency)
+        perSlot += slot.count();
+    EXPECT_EQ(perSlot, t.completed);
+    EXPECT_EQ(t.completed, r.completed);
+    EXPECT_EQ(t.digest, r.digest);
 }
 
 TEST(Serve, ReplayOfRecordingMatchesOriginalRun)

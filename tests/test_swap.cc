@@ -39,8 +39,8 @@ TEST_P(SwapPolicies, ColdPagesAreEvictedAfterTwoScans)
     // Scan 1 clears accessed bits; scan 2 evicts the cold pages.
     machine.run(7 * kMsec);
     EXPECT_GT(swap.evictions(), 0u);
-    EXPECT_TRUE(swap.wasSwappedOut(process->mm().id(),
-                                   pageOf(m.addr)));
+    // The evicted page is no longer mapped.
+    EXPECT_EQ(process->mm().pageTable().find(pageOf(m.addr)), nullptr);
     machine.run(6 * kMsec); // lazy reclamation under LATR
     EXPECT_EQ(machine.frames().allocatedFrames(), 0u);
     EXPECT_EQ(machine.checker()->violations(), 0u);
